@@ -1,4 +1,4 @@
-"""Shattering certificates by direct labeling enumeration."""
+"""Shattering certificates by labeling enumeration, batched over labelings."""
 
 from __future__ import annotations
 
@@ -7,9 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..builders.shatter import MAX_POINT_BITS, shatter_budgets, shatter_points, shattering_net
+from ..builders.shatter import (
+    MAX_POINT_BITS,
+    ShatterTemplate,
+    shatter_budgets,
+    shatter_points,
+    shatter_template,
+)
 from ..errors import ResourceLimitError
-from ..networks import evaluate_batch
+from ..networks import NetworkKind
 
 __all__ = ["ShatterCertificate", "shatter_verify"]
 
@@ -49,9 +55,14 @@ class ShatterCertificate:
         }, indent=1)
 
 
-def _within_budgets(built, kind: str, m: int, n: int, t: int) -> bool:
+# float64 elements per chunk tensor (128 KiB).  Each chunk of labelings is one
+# tensor pass whose activations and filled weights stay within this size;
+# larger chunks were no faster and raised peak memory.
+LABELING_CHUNK_ELEMENTS = 1 << 14
+
+
+def _within_budgets(arch, kind: str, m: int, n: int, t: int) -> bool:
     budget = shatter_budgets(kind, m, n, t)
-    arch = built.net.arch
     if arch.depth > budget["depth"]:
         return False
     if max(arch.hidden_widths) > budget["width"]:
@@ -61,13 +72,82 @@ def _within_budgets(built, kind: str, m: int, n: int, t: int) -> bool:
     return True
 
 
+def _run_stages(net, x: np.ndarray, h: np.ndarray, lo: int, hi: int, filled=()) -> np.ndarray:
+    """Affine stages ``lo..hi-1`` of ``net`` on row-major activations.
+
+    ``h`` is (points, width) when shared by every labeling, or (labelings,
+    points, width); ``x`` is the (points, input) matrix the skip taps read.
+    ``filled`` yields ``(stage, W, b)`` in stage order: that stage uses the
+    (labelings, out, in) weight tensor and (labelings, out) bias instead of
+    its own.
+    """
+    arch = net.arch
+    L = arch.depth
+    filled = iter(filled)
+    pending = next(filled, None)
+    for i in range(lo, hi):
+        layer = net.layers[i]
+        if pending is not None and pending[0] == i:
+            _, W, b = pending
+            pending = next(filled, None)
+            z = h @ W.transpose(0, 2, 1)
+            b = b[:, None, :]
+        else:
+            W, b = layer.W, layer.b
+            z = (h.reshape(-1, h.shape[-1]) @ W.T).reshape(*h.shape[:-1], W.shape[0])
+        if layer.V is not None:
+            z += x @ layer.V.T
+        z -= b
+        if i < L:
+            # step(0) = 1; the identity neurons of a lin layer stay as they are
+            p = arch.widths[i + 1] if arch.kind is NetworkKind.LIN and i < L - 1 else None
+            np.greater_equal(z[..., :p], 0.0, out=z[..., :p])
+        h = z
+    return h
+
+
+def _prefix(template: ShatterTemplate, x: np.ndarray) -> np.ndarray:
+    """Activations at the points ``x`` after the stages before the first
+    payload-dependent one, which every labeling shares."""
+    return _run_stages(template.net, x, x, 0, int(template.stage.min()))
+
+
+def labeling_outputs(template: ShatterTemplate, labelings, x: np.ndarray | None = None,
+                     head: np.ndarray | None = None) -> np.ndarray:
+    """Network output for every labeling row at the (points, 1) matrix
+    ``x``, all of the template's points by default; shape (labelings,
+    points).  ``head`` is ``_prefix(template, x)`` if already computed."""
+    net = template.net
+    if x is None:
+        x = template.points[:, None]
+    if head is None:
+        head = _prefix(template, x)
+    out = _run_stages(net, x, head, int(template.stage.min()), net.arch.depth + 1,
+                      template.fill(labelings))
+    return out[..., 0]
+
+
 def shatter_verify(kind: str, m: int, n: int, t: int = 0,
                    sample_labelings: int | None = None, seed: int = 0) -> ShatterCertificate:
-    """Build and check the shattering construction for every labeling.
+    """Check that the shattering construction realizes every labeling.
 
     All ``2^points`` labelings are enumerated when that count stays within
     ``2^20``; otherwise ``sample_labelings`` structured-plus-random
     labelings are checked (required for large geometries).
+
+    The labeling reaches the network only through a few decoder weights
+    (a bias for the one-point geometry), so the network is built,
+    validated and checked against the depth and width budgets once, with
+    every label 0.  Labelings are then checked in chunks: each chunk fills
+    those entries for all of its labelings and runs one tensor pass over
+    labelings x width x points, starting from the digit-extractor prefix
+    computed once for all of them.  A chunk holds at most
+    ``LABELING_CHUNK_ELEMENTS`` float64 values per activation or weight
+    tensor (128 KiB), splitting the points as well when one labeling needs
+    more, so memory stays flat however many labelings there are;
+    the exhaustive 2^16-labeling certificate of ``("skip", 1, 2)`` runs in
+    about a second.  The filled weights are bit-identical to the literal
+    ``shattering_net`` build of each labeling.
     """
     points = shatter_points(kind, m, n, t)
     npts = len(points)
@@ -78,27 +158,43 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
             "pass sample_labelings to spot-check")
 
     if exhaustive:
-        labelings = ((i >> np.arange(npts - 1, -1, -1)) & 1 for i in range(2**npts))
         tried = 2**npts
+        shifts = np.arange(npts - 1, -1, -1)
+
+        def labeling_rows(lo, hi):
+            return (np.arange(lo, hi)[:, None] >> shifts) & 1
     else:
         rng = np.random.default_rng(seed)
-        fixed = [np.zeros(npts, dtype=int), np.ones(npts, dtype=int),
-                 np.arange(npts) % 2, (np.arange(npts) + 1) % 2]
-        fixed.extend(np.eye(npts, dtype=int)[i] for i in range(min(npts, 32)))
+        singles = min(npts, 32)
+        fixed = np.zeros((4 + singles, npts), dtype=int)
+        fixed[1] = 1
+        fixed[2] = np.arange(npts) % 2
+        fixed[3] = (np.arange(npts) + 1) % 2
+        fixed[4 + np.arange(singles), np.arange(singles)] = 1  # one-point labelings
         rand = [rng.integers(0, 2, npts) for _ in range(max(0, sample_labelings - len(fixed)))]
-        labelings = fixed + rand
-        tried = len(labelings)
+        sampled = np.concatenate([fixed, np.array(rand, dtype=int).reshape(-1, npts)])
+        tried = len(sampled)
 
-    failures: list[str] = []
-    budgets_ok = True
-    X = points[:, None]
-    for lam in labelings:
-        lam = np.asarray(lam, dtype=int)
-        built, _ = shattering_net(kind, m, n, t, lam)
-        budgets_ok = budgets_ok and _within_budgets(built, kind, m, n, t)
-        out = evaluate_batch(built.net, X)[:, 0]
-        realized = (out >= 0.0).astype(int)
-        if not np.array_equal(realized, lam):
-            failures.append("".join(str(int(b)) for b in lam))
+        def labeling_rows(lo, hi):
+            return sampled[lo:hi]
+
+    template = shatter_template(kind, m, n, t)
+    net = template.net
+    budgets_ok = _within_budgets(net.arch, kind, m, n, t)
+    width = max(net.arch.augmented_widths())
+    weights = max(np.asarray(net.layers[s].W).size for s in np.unique(template.stage))
+    block = max(1, LABELING_CHUNK_ELEMENTS // width)  # points per pass
+    failed = np.zeros(tried, dtype=bool)
+    for p0 in range(0, npts, block):
+        x = points[p0:p0 + block, None]
+        head = _prefix(template, x)
+        chunk = max(1, LABELING_CHUNK_ELEMENTS // max(len(x) * width, weights))
+        for lo in range(0, tried, chunk):
+            hi = min(lo + chunk, tried)
+            lam = labeling_rows(lo, hi)
+            realized = labeling_outputs(template, lam, x, head) >= 0.0
+            failed[lo:hi] |= np.any(realized != lam[:, p0:p0 + block], axis=1)
+    failures = ["".join(str(int(b)) for b in labeling_rows(i, i + 1)[0])
+                for i in np.flatnonzero(failed)]
     return ShatterCertificate(kind, {"m": m, "n": n, "t": t}, points, tried,
                               failures, exhaustive, budgets_ok)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, PrecisionError
 from ..networks import NetworkKind
 from .built import BuiltNetwork, Construction
 from .dsl import NetBuilder
@@ -173,7 +173,8 @@ def _dedup(handles) -> list[int]:
 
 
 def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[int],
-                           carry: list[int] = ()) -> tuple[list[list[int]], list[int]]:
+                           carry: list[int] = (),
+                           sites: list | None = None) -> tuple[list[list[int]], list[int]]:
     """Emit decode slice-stacks for several tables over one shared geometry.
 
     ``bits`` are decoder-slot handles in the builder's current last layer;
@@ -182,6 +183,12 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
     layers.  Returns one handle group per table — each group sums to the
     table's stored bit for the cell containing x — plus the carried handles
     at the new last layer.
+
+    With a ``sites`` list, every weight that depends on the payloads is
+    reported once as ``(row handle, column handle, cell, coefficient)``:
+    the weight equals ``coefficient * payload.flat[cell]``, ``cell``
+    indexing the stacked payloads of shape (tables, J, K, R).  These are
+    the stage-B rows; everything else is payload-independent.
     """
     geom = tables[0].geometry
     if any(t.geometry != geom for t in tables):
@@ -215,10 +222,16 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
             r = depth - 1
             if 1 <= r <= R:  # stage B: select the stored-bit row for j(x)
                 blk = prev[r]
+                eta = []
+                for k in range(K):
+                    h = nb.step({hj: 1.0 for j, hj in enumerate(blk["j"])
+                                 if payload[j, k, r - 1]}, bias=-0.5)
+                    if sites is not None:
+                        sites.extend((h, hj, ((ti * J + j) * K + k) * R + r - 1, 1.0)
+                                     for j, hj in enumerate(blk["j"]))
+                    eta.append(h)
                 stages[ti][r] = {
-                    "eta": [nb.step({h: 1.0 for j, h in enumerate(blk["j"])
-                                     if payload[j, k, r - 1]}, bias=-0.5)
-                            for k in range(K)],
+                    "eta": eta,
                     "k": [nb.forward(h) for h in blk["k"]],
                     "r": nb.forward(blk["r"]),
                 }
@@ -250,7 +263,8 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
 
 
 def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
-                     carry: list[int] = (), absorb: list[list[int]] = ()) -> tuple[list[int], list[int]]:
+                     carry: list[int] = (), absorb: list[list[int]] = (),
+                     sites: list | None = None) -> tuple[list[int], list[int]]:
     """Emit one lin decoder block against bit handles in the last layer.
 
     Adds 2R+2 layers.  ``carry`` handles are forwarded through all of them
@@ -259,10 +273,18 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     carry (this is how a preceding block's output becomes a neuron).
     Returns handles whose sum equals the stored bit of the cell containing
     x, plus the updated carry.
+
+    With a ``sites`` list, every weight that depends on the payload is
+    reported as ``(row handle, column handle, cell, coefficient)`` terms:
+    an accumulator weight is the sum of ``coefficient * payload.flat[cell]``
+    over its R terms, one per bit packed into the column.  Packing needs
+    R <= 52 so that every packed column is an exact float64.
     """
     geom = table.geometry
     gj, gk, gr = geom.group_levels()
     J, K, R = geom.sizes
+    if R > 52:
+        raise PrecisionError(f"R = {R} packed digits exceed a float64 significand")
     chunk = 2 ** (geom.m * geom.d)
     payload = table.payload
     lam = payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
@@ -305,7 +327,11 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
                        for jj, h in enumerate(prev["jind"]) if lam[base + jj, k] != 0.0}
                 if prev["lam_acc"]:
                     row[prev["lam_acc"][k]] = 1.0
-                lam_acc.append(nb.linear(row))
+                h = nb.linear(row)
+                if sites is not None:
+                    sites.extend((h, hj, ((base + jj) * K + k) * R + r, 0.5 ** (r + 1))
+                                 for jj, hj in enumerate(prev["jind"]) for r in range(R))
+                lam_acc.append(h)
         if R + 2 <= depth <= 2 * R + 1:
             ell = depth - R - 1
             # joint (k, r)-hit indicators from the forwarded bits

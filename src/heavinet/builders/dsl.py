@@ -98,6 +98,11 @@ class NetBuilder:
         self.probes[label] = handle
         return handle
 
+    def position(self, handle: int) -> tuple[int, int]:
+        """(affine stage, row) that computes a neuron; valid after ``build``."""
+        n = self._by_handle[handle]
+        return n.layer, n.slot
+
     def output(self, rows: list[dict[int, float]], bias: list[float]) -> None:
         """Affine output stage: row r computes sum(w f) + bias[r]."""
         if len(rows) != len(bias):

@@ -11,16 +11,19 @@ exactly at every point.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import InvalidInputError, ResourceLimitError
-from ..networks import NetworkKind
+from ..networks import Network, NetworkKind
 from .bits import grow_binary_bits_lin, grow_radix_readouts
 from .built import BuiltNetwork, Construction
 from .decoders import BitTable, CellGeometry, grow_lin_decoder, grow_skip_decoder_bank
 from .dsl import NetBuilder
 
-__all__ = ["shatter_points", "shattering_net", "labels_to_table", "shatter_budgets"]
+__all__ = ["shatter_points", "shattering_net", "labels_to_table", "shatter_budgets",
+           "ShatterTemplate", "shatter_template"]
 
 MAX_POINT_BITS = 20  # enumerating labelings needs 2^points <= 2^20
 
@@ -46,18 +49,32 @@ def shatter_points(kind: str, m: int, n: int, t: int = 0) -> np.ndarray:
     return i / count - 1.0 / (2 * count)
 
 
+def _point_cells(geom: CellGeometry) -> np.ndarray:
+    """Flat payload index of the cell holding each canonical point.
+
+    Point i (counting from 0) sits in the cell whose digits are i written
+    big-endian; each digit group is read off them as ``index_of_bits`` does.
+    With one coordinate the groups are consecutive levels in (j, k, r)
+    order, so this is the identity."""
+    levels = geom.levels
+    digits = (np.arange(2 ** levels)[:, None] >> np.arange(levels - 1, -1, -1)) & 1
+    flat = np.zeros(2 ** levels, dtype=np.int64)
+    for group, size in zip(geom.group_levels(), geom.sizes):
+        index = np.zeros(2 ** levels, dtype=np.int64)
+        for ell in group:
+            index = 2 * index + digits[:, ell - 1]
+        flat = flat * size + index
+    return flat
+
+
 def labels_to_table(geom: CellGeometry, labeling) -> BitTable:
     """Store point labels in decoder-table order: point i sits in the cell
     whose digit prefix is i-1 written big-endian."""
-    levels = geom.levels
     labeling = np.asarray(labeling, dtype=int).reshape(-1)
-    if labeling.size != 2 ** levels:
-        raise InvalidInputError(f"labeling needs {2 ** levels} entries")
+    if labeling.size != 2 ** geom.levels:
+        raise InvalidInputError(f"labeling needs {2 ** geom.levels} entries")
     payload = np.zeros(geom.sizes, dtype=int)
-    for i, lab in enumerate(labeling):
-        bits = [(i >> (levels - 1 - pos)) & 1 for pos in range(levels)]
-        j, k, r = geom.index_of_bits(np.array(bits).reshape(1, levels))
-        payload[j - 1, k - 1, r - 1] = int(lab)
+    payload.reshape(-1)[_point_cells(geom)] = labeling
     return BitTable(geom, payload)
 
 
@@ -70,6 +87,48 @@ def shatter_budgets(kind: str, m: int, n: int, t: int = 0) -> dict[str, int]:
     return {"depth": m + n + 2 * t + 2 * 2 ** t + 2,
             "width": m + n + 2 * t + max(2 ** m, 3 * K + 1),
             "identity_neurons": K}
+
+
+def _assemble(kind: str, geom: CellGeometry | None, labeling: np.ndarray,
+              sites: list | None = None):
+    """Grow and build the network realizing ``labeling``.
+
+    With a ``sites`` list, every payload-dependent entry of the built
+    network is appended as ``(stage, row, column, cell, coefficient)``,
+    column -1 standing for the bias: the entry is the sum of
+    ``coefficient * label`` over its sites, ``cell`` being the flat payload
+    index whose label it reads.  Returns the network and its probes.
+    """
+    handle_sites = [] if sites is not None else None
+    if geom is None:  # one point: a constant network decides its label
+        nb = NetBuilder(1, NetworkKind.SKIP if kind == "skip" else NetworkKind.LIN)
+        nb.new_layer()
+        h = nb.tag("label", nb.step({0: 0.0}, bias=float(labeling[0]) - 0.5))
+        if sites is not None:
+            handle_sites.append((h, None, 0, 1.0))
+        nb.output([{h: 1.0}], [-0.5])
+    elif kind == "skip":
+        table = labels_to_table(geom, labeling)
+        nb = NetBuilder(1, NetworkKind.SKIP)
+        readouts = grow_radix_readouts(nb, (2,) * geom.levels)
+        bits = [readouts[(0, ell, 1)] for ell in range(1, geom.levels + 1)]
+        (parts,), _ = grow_skip_decoder_bank(nb, [table], bits, sites=handle_sites)
+        nb.new_layer()
+        label = nb.tag("label", nb.step({h: 1.0 for h in parts}, bias=-0.5))
+        nb.output([{label: 1.0}], [-0.5])
+    else:
+        table = labels_to_table(geom, labeling)
+        nb = NetBuilder(1, NetworkKind.LIN)
+        digits = grow_binary_bits_lin(nb, geom.levels)
+        bits = [digits[(0, ell)] for ell in range(1, geom.levels + 1)]
+        parts, _ = grow_lin_decoder(nb, table, bits, sites=handle_sites)
+        nb.output([{h: 1.0 for h in parts}], [-0.5])
+    net, probes = nb.build()
+    if sites is not None:
+        for row, col, cell, coef in handle_sites:
+            stage, slot = nb.position(row)
+            sites.append((stage, slot, -1 if col is None else nb.position(col)[1], cell, coef))
+    return net, probes
 
 
 def shattering_net(kind: str, m: int, n: int, t: int = 0,
@@ -85,31 +144,68 @@ def shattering_net(kind: str, m: int, n: int, t: int = 0,
         raise InvalidInputError(f"labeling must be {points.size} bits")
     params = {"kind": kind, "m": m, "n": n, "t": t,
               "labeling": "".join(str(int(b)) for b in labeling)}
-
-    geom = _geometry(kind, m, n, t)
-    if geom is None:  # one point: a constant network decides its label
-        nb = NetBuilder(1, NetworkKind.SKIP if kind == "skip" else NetworkKind.LIN)
-        nb.new_layer()
-        h = nb.tag("label", nb.step({0: 0.0}, bias=float(labeling[0]) - 0.5))
-        nb.output([{h: 1.0}], [-0.5])
-        net, probes = nb.build()
-        return BuiltNetwork(net, None, probes, Construction("shattering_net", params)), points
-
-    table = labels_to_table(geom, labeling)
-    levels = geom.levels
-    if kind == "skip":
-        nb = NetBuilder(1, NetworkKind.SKIP)
-        readouts = grow_radix_readouts(nb, (2,) * levels)
-        bits = [readouts[(0, ell, 1)] for ell in range(1, levels + 1)]
-        (parts,), _ = grow_skip_decoder_bank(nb, [table], bits)
-        nb.new_layer()
-        label = nb.tag("label", nb.step({h: 1.0 for h in parts}, bias=-0.5))
-        nb.output([{label: 1.0}], [-0.5])
-    else:
-        nb = NetBuilder(1, NetworkKind.LIN)
-        digits = grow_binary_bits_lin(nb, levels)
-        bits = [digits[(0, ell)] for ell in range(1, levels + 1)]
-        parts, _ = grow_lin_decoder(nb, table, bits)
-        nb.output([{h: 1.0 for h in parts}], [-0.5])
-    net, probes = nb.build()
+    net, probes = _assemble(kind, _geometry(kind, m, n, t), labeling)
     return BuiltNetwork(net, None, probes, Construction("shattering_net", params)), points
+
+
+@dataclass(frozen=True)
+class ShatterTemplate:
+    """The shattering network built once with every label 0, plus the
+    entries a labeling fills in.
+
+    Entry e sits at ``(stage[e], row[e], col[e])`` of the stage's weight
+    matrix, or of its bias vector when ``col[e]`` is -1.  Its value is the
+    sum of ``site_coef * payload[site_cell]`` over the sites
+    ``starts[e]:starts[e+1]``.
+    """
+
+    net: Network
+    points: np.ndarray
+    cells: np.ndarray  # flat payload index of the cell holding each point
+    stage: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    starts: np.ndarray
+    site_cell: np.ndarray
+    site_coef: np.ndarray
+
+    def fill(self, labelings):
+        """Weights of the payload-dependent stages for each labeling row.
+
+        Yields ``(stage, W, b)`` in stage order, with shapes (labelings,
+        out, in) and (labelings, out), one stage at a time so that only one
+        filled tensor is alive.  Each is bit-identical to the stage of the
+        literal ``shattering_net`` build of each labeling: every sum is of
+        distinct powers of two, hence exact.
+        """
+        labelings = np.asarray(labelings)
+        payload = np.empty(labelings.shape)
+        payload[:, self.cells] = labelings
+        vals = np.add.reduceat(payload[:, self.site_cell] * self.site_coef, self.starts, axis=1)
+        for stage in np.unique(self.stage).tolist():
+            layer = self.net.layers[stage]
+            W = np.repeat(np.asarray(layer.W)[None], len(labelings), axis=0)
+            b = np.repeat(np.asarray(layer.b)[None], len(labelings), axis=0)
+            weight = (self.stage == stage) & (self.col >= 0)
+            W[:, self.row[weight], self.col[weight]] += vals[:, weight]
+            bias = (self.stage == stage) & (self.col < 0)
+            b[:, self.row[bias]] -= vals[:, bias]  # stages compute W h - b
+            yield stage, W, b
+
+
+def shatter_template(kind: str, m: int, n: int, t: int = 0) -> ShatterTemplate:
+    """Build the zero-labeling shattering network and locate the entries
+    every other labeling changes."""
+    geom = _geometry(kind, m, n, t)
+    points = shatter_points(kind, m, n, t)
+    sites: list = []
+    net, _ = _assemble(kind, geom, np.zeros(points.size, dtype=int), sites)
+    stage, row, col, cell, coef = (np.array(v) for v in zip(*sites))
+    order = np.lexsort((col, row, stage))
+    stage, row, col, cell, coef = (v[order] for v in (stage, row, col, cell, coef))
+    new_entry = np.ones(len(order), dtype=bool)
+    new_entry[1:] = (np.diff(stage) != 0) | (np.diff(row) != 0) | (np.diff(col) != 0)
+    starts = np.flatnonzero(new_entry)
+    cells = np.zeros(1, dtype=np.int64) if geom is None else _point_cells(geom)
+    return ShatterTemplate(net, points, cells, stage[starts], row[starts], col[starts],
+                           starts, cell, coef)

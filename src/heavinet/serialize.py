@@ -6,6 +6,10 @@ ordered list of ``{"W": row-major matrix, "b": vector, "V": optional
 matrix}``.  Numbers are written in full round-trip decimal precision, so a
 round trip is bit-exact on every parameter.  A built network adds a ``meta``
 block with the guarantee, the probe map, and the construction record.
+
+Matrices are written dense, so a document holds every parameter of the
+dense-equivalent architecture; networks with more than
+``MAX_DOCUMENT_PARAMS`` of them are refused before anything is densified.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import json
 import numpy as np
 
 from .builders.built import BuiltNetwork, Construction, Guarantee
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .networks import (
     Architecture,
     LayerParams,
@@ -28,6 +32,10 @@ from .networks import (
 __all__ = ["to_document", "from_document"]
 
 _KIND_TAGS = {k.value: k for k in NetworkKind}
+
+# dense-equivalent parameters per document: about 40 MB of JSON, and a few
+# hundred MB while the rows are being written
+MAX_DOCUMENT_PARAMS = 1 << 22
 
 
 def _network_payload(net: Network) -> dict:
@@ -52,7 +60,16 @@ def _network_payload(net: Network) -> dict:
 
 
 def to_document(net: Network | BuiltNetwork) -> str:
-    """Serialize a network (or built network) to its JSON document."""
+    """Serialize a network (or built network) to its JSON document.
+
+    Raises ``ResourceLimitError`` when the network has more than
+    ``MAX_DOCUMENT_PARAMS`` dense-equivalent parameters.
+    """
+    params = (net.net if isinstance(net, BuiltNetwork) else net).arch.param_count()
+    if params > MAX_DOCUMENT_PARAMS:
+        raise ResourceLimitError(
+            f"network has {params} dense-equivalent parameters; documents are capped "
+            f"at {MAX_DOCUMENT_PARAMS}")
     if isinstance(net, BuiltNetwork):
         doc = _network_payload(net.net)
         meta: dict = {"construction": {"name": net.construction.name,

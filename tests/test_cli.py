@@ -147,3 +147,13 @@ def test_eval_grid_cap(tmp_path, capsys):
     net = tmp_path / "net.json"
     _run(capsys, "build", "rect", "--a", "0,0,0", "--b", "1,1,1", "-o", str(net))
     assert run(["eval", str(net), "--grid", "4000"]) == 2  # 4001^3 over the cap
+
+
+def test_build_over_document_cap_is_a_usage_error(tmp_path, capsys):
+    # 181 074 nonzeros, 140 696 295 dense-equivalent parameters
+    out = tmp_path / "f.json"
+    code = run(["build", "holder", "--kind", "skip", "--target", "x1x2", "--m", "2",
+                "--n", "2", "-o", str(out)])
+    assert code == 2
+    assert "140696295 dense-equivalent parameters" in capsys.readouterr().err
+    assert not out.exists()

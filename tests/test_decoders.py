@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heavinet import InvalidInputError, evaluate, evaluate_batch, validate
+from heavinet import InvalidInputError, PrecisionError, evaluate, evaluate_batch, validate
 from heavinet.builders import (
     BitTable,
     CellGeometry,
@@ -127,6 +127,13 @@ def test_payload_mismatch_rejected():
     lin_geom = CellGeometry("lin", 1, 1, 0, 1)
     with pytest.raises(InvalidInputError):
         decoder("skip", BitTable(lin_geom, np.zeros(lin_geom.sizes, dtype=int)))
+
+
+def test_lin_packing_past_the_significand_rejected():
+    # R = 2^6 = 64 stored bits cannot pack into one float64 column
+    geom = CellGeometry("lin", 1, 0, 0, 6)
+    with pytest.raises(PrecisionError):
+        decoder("lin", BitTable(geom, np.zeros(geom.sizes, dtype=int)))
 
 
 def test_stack_extractor_with_decoder():

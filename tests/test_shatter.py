@@ -1,11 +1,24 @@
 """Shattering constructions and certificates."""
 
+import time
+
 import numpy as np
 import pytest
 
 from heavinet import ResourceLimitError, evaluate_batch, validate
 from heavinet.analysis import shatter_verify, vc_upper_bound
-from heavinet.builders import shatter_budgets, shatter_points, shattering_net
+from heavinet.analysis.certify import labeling_outputs
+from heavinet.builders import CellGeometry, shatter_budgets, shatter_points, shattering_net
+from heavinet.builders.shatter import ShatterTemplate, labels_to_table, shatter_template
+
+# the certify benchmark geometries, plus the one-point geometry of each kind
+CERTIFY_GEOMETRIES = [
+    ("skip", 1, 1, 0), ("lin", 1, 0, 1),
+    ("skip", 1, 2, 0), ("skip", 2, 0, 0), ("skip", 2, 1, 0), ("skip", 1, 3, 0),
+    ("skip", 2, 2, 0), ("skip", 3, 0, 0), ("lin", 1, 1, 1), ("lin", 2, 0, 1),
+    ("lin", 0, 2, 1), ("lin", 1, 2, 1), ("lin", 2, 1, 1), ("lin", 2, 2, 1),
+    ("lin", 1, 1, 2), ("skip", 0, 0, 0), ("lin", 0, 0, 0),
+]
 
 
 def test_point_sets():
@@ -84,3 +97,80 @@ def test_lower_bound_consistent_with_upper():
     p = max(net.net.arch.hidden_widths)
     upper = vc_upper_bound(Architecture(NetworkKind.SKIP, (1, *(p,) * L, 1), (1,) * (L - 1)))
     assert cert.implied_vc_lower_bound <= upper
+
+
+def _per_point_table(geom, labeling):
+    """Reference mapping: one ``index_of_bits`` call per point."""
+    levels = geom.levels
+    payload = np.zeros(geom.sizes, dtype=int)
+    for i, lab in enumerate(labeling):
+        bits = [(i >> (levels - 1 - pos)) & 1 for pos in range(levels)]
+        j, k, r = geom.index_of_bits(np.array(bits).reshape(1, levels))
+        payload[j - 1, k - 1, r - 1] = int(lab)
+    return payload
+
+
+def test_labels_to_table_matches_per_point_mapping():
+    rng = np.random.default_rng(11)
+    geoms = [CellGeometry("skip", 1, m, n) for m in range(5) for n in range(9)
+             if 1 <= 2 * m + n <= 8]
+    geoms += [CellGeometry("lin", 1, m, n, t) for m in range(9) for n in range(9)
+              for t in range(5) if 1 <= m + n + 2 * t <= 8]
+    for geom in geoms:
+        lam = rng.integers(0, 2, 2 ** geom.levels)
+        assert np.array_equal(labels_to_table(geom, lam).payload, _per_point_table(geom, lam)), geom
+
+
+@pytest.mark.parametrize("geometry", CERTIFY_GEOMETRIES)
+def test_filled_template_is_the_literal_build(geometry):
+    template = shatter_template(*geometry)
+    npts = len(template.points)
+    rng = np.random.default_rng(CERTIFY_GEOMETRIES.index(geometry))
+    lams = np.concatenate([np.zeros((1, npts), dtype=int), np.ones((1, npts), dtype=int),
+                           rng.integers(0, 2, (4, npts))])
+    filled = {stage: (W, b) for stage, W, b in template.fill(lams)}
+    outputs = labeling_outputs(template, lams)
+    for n, lam in enumerate(lams):
+        literal, points = shattering_net(*geometry, lam)
+        net = literal.net
+        assert net.arch == template.net.arch
+        for stage, (mine, theirs) in enumerate(zip(template.net.layers, net.layers)):
+            W, b = (filled[stage][0][n], filled[stage][1][n]) if stage in filled else (mine.W, mine.b)
+            assert np.asarray(W).tobytes() == np.asarray(theirs.W).tobytes(), stage
+            assert np.asarray(b).tobytes() == np.asarray(theirs.b).tobytes(), stage
+            assert (mine.V is None) == (theirs.V is None)
+            if mine.V is not None:
+                assert np.asarray(mine.V).tobytes() == np.asarray(theirs.V).tobytes()
+        assert np.array_equal(outputs[n], evaluate_batch(net, points[:, None])[:, 0])
+
+
+def test_complemented_labels_fail_every_labeling(monkeypatch):
+    fill = ShatterTemplate.fill
+    monkeypatch.setattr(ShatterTemplate, "fill", lambda self, lams: fill(self, 1 - lams))
+    cert = shatter_verify("skip", 1, 1)
+    assert len(cert.failures) == cert.labelings_tried == 256
+    assert cert.failures[:2] == ["00000000", "00000001"]
+    assert cert.implied_vc_lower_bound == 0
+    cert = shatter_verify("lin", 1, 1, 1, sample_labelings=40, seed=3)
+    assert len(cert.failures) == cert.labelings_tried == 40
+
+
+def test_exhaustive_sixteen_point_certificate():
+    start = time.perf_counter()
+    cert = shatter_verify("skip", 1, 2)
+    assert time.perf_counter() - start < 30.0
+    assert cert.labelings_tried == 2 ** 16 and not cert.failures
+    assert cert.exhaustive and cert.budgets_respected
+    assert cert.implied_vc_lower_bound == 16
+
+
+def test_chunking_over_labelings_and_points_keeps_the_certificate(monkeypatch):
+    import heavinet.analysis.certify as certify
+    whole = [shatter_verify("skip", 1, 1).to_document(),
+             shatter_verify("lin", 1, 1, 1, sample_labelings=40, seed=2).to_document()]
+    monkeypatch.setattr(certify, "LABELING_CHUNK_ELEMENTS", 50)  # 2 points, 1 labeling
+    assert [shatter_verify("skip", 1, 1).to_document(),
+            shatter_verify("lin", 1, 1, 1, sample_labelings=40, seed=2).to_document()] == whole
+    fill = ShatterTemplate.fill
+    monkeypatch.setattr(ShatterTemplate, "fill", lambda self, lams: fill(self, 1 - lams))
+    assert len(shatter_verify("skip", 1, 1).failures) == 256
