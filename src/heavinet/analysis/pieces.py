@@ -1,10 +1,13 @@
 """Piece structure of a network restricted to a segment.
 
-``exact_pieces`` propagates an interval partition of the segment parameter
-t through the layers: within a piece every pre-activation is affine in t,
-each step neuron contributes at most one crossing (the root of an affine
-function, solved exactly), and identity neurons carry affine coefficient
-pairs.  Piece values are read from direct evaluation at representative
+Both analyses share one layer walk, ``_propagate``, that refines a
+partition of the segment parameter t into regions: within a region every
+pre-activation is affine in t, each step neuron splits it at most once,
+identity neurons carry affine coefficient pairs, and the region count
+stays within the paper's layer-wise ceiling.  Only the split differs.
+
+``exact_pieces`` splits at the exact roots of the affine pre-activations.
+Piece values are read from direct evaluation at representative
 midpoints, and the propagated activation pattern must match the evaluation
 trace there exactly.  Adjacent pieces carrying the same output merge, and
 each surviving breakpoint gets a side flag from evaluation at the
@@ -16,11 +19,11 @@ produces one where the segment crosses the origin).
 
 ``sampled_pieces`` is the independent cross-check: the value sequence on
 the grid ``t = k/N`` (N intervals, N+1 points), change counting, and
-bisection refinement of every detected change.  The grid values come from
-a run-compressed forward pass — runs of grid indices with constant
-activations — which reproduces, run for run, what plain grid evaluation
-gives; ``_grid_values_dense`` is the literal dense evaluator the tests
-compare against.
+bisection refinement of every detected change.  Its split cuts runs of
+grid indices where a step state flips.  A run boundary can land one index
+away from the grid's own value change, so every run is read at its first
+and its last grid point; ``_grid_values_dense`` is the literal dense
+evaluator the tests compare against.
 """
 
 from __future__ import annotations
@@ -114,40 +117,54 @@ def _split_step_lin(net: Network, i: int, A: np.ndarray, S: np.ndarray):
     return A, S, None, None
 
 
-def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray):
-    """Exact cuts of [0, 1] and the last hidden layer's bits per interior."""
-    L = net.arch.depth
+def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray, split):
+    """Final region boundaries and the last hidden layer's bits per region.
+
+    ``split(A_step, S_step, bounds)`` gets the step pre-activations (rows)
+    on each region (columns) and returns refined boundaries plus one
+    parameter t per new region, where its parent's state is read.  After
+    layer l the region count may not exceed plain p_1+1, skip
+    (p_1+1) prod_{2<=k<=l} (s_k+1), lin prod_{k<=l} (p_k+1).
+    """
+    arch = net.arch
     dx = x2 - x1
-    cuts = np.array([0.0, 1.0])
     B = np.zeros((0, 1))
     U = Vl = None
-    for i in range(L):
-        P = len(cuts) - 1
-        A, S = _layer_affine(net, i, B, U, Vl, x1, dx, P)
+    ceiling = 1
+    for i in range(arch.depth):
+        A, S = _layer_affine(net, i, B, U, Vl, x1, dx, len(bounds) - 1)
         A_step, S_step, A_lin, S_lin = _split_step_lin(net, i, A, S)
-        lo = cuts[:-1][None, :]
-        hi = cuts[1:][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roots = np.where(S_step != 0.0, -A_step / S_step, np.nan)
-        inside = (S_step != 0.0) & (roots > lo + MERGE_TOL) & (roots < hi - MERGE_TOL)
-        new_roots = roots[inside]
-        if new_roots.size:
-            merged = np.sort(np.concatenate([cuts, new_roots]))
-            keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL])
-            cuts_new = merged[keep]
-            cuts_new[0], cuts_new[-1] = 0.0, 1.0
-        else:
-            cuts_new = cuts
-        mids = 0.5 * (cuts_new[:-1] + cuts_new[1:])
-        parent = np.clip(np.searchsorted(cuts, mids, side="right") - 1, 0, P - 1)
-        B = np.ascontiguousarray(
-            np.where(A_step[:, parent] + S_step[:, parent] * mids[None, :] >= 0.0, 1.0, 0.0))
+        new, ts = split(A_step, S_step, bounds)
+        parent = np.searchsorted(bounds, new[:-1], side="right") - 1
+        B = (A_step[:, parent] + S_step[:, parent] * ts >= 0.0).astype(float)
         if A_lin is not None:
             U, Vl = A_lin[:, parent].copy(), S_lin[:, parent].copy()
         else:
             U = Vl = None
-        cuts = cuts_new
-    return cuts, B
+        bounds = new
+        if i == 0 or arch.kind is NetworkKind.LIN:
+            ceiling *= arch.widths[i + 1] + 1
+        elif arch.kind is NetworkKind.SKIP:
+            ceiling *= arch.skip_counts[i - 1] + 1
+        if len(bounds) - 1 > ceiling:
+            raise AssertionError(
+                f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceiling}")
+    return bounds, B
+
+
+def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
+    """Exact roots of the step pre-activations inside each region, cuts
+    closer than ``MERGE_TOL`` merged; regions are represented by midpoints."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.where(S != 0.0, -A / S, np.nan)
+    inside = (S != 0.0) & (roots > cuts[:-1] + MERGE_TOL) & (roots < cuts[1:] - MERGE_TOL)
+    new_roots = roots[inside]
+    if new_roots.size:
+        merged = np.sort(np.concatenate([cuts, new_roots]))
+        keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL])
+        cuts = merged[keep]
+        cuts[0], cuts[-1] = 0.0, 1.0
+    return cuts, 0.5 * (cuts[:-1] + cuts[1:])
 
 
 def _eval_at(net: Network, x1, x2, ts: np.ndarray, with_trace: bool = False):
@@ -168,29 +185,33 @@ def _same_value(pat: np.ndarray, out: np.ndarray, i: int, j: int) -> bool:
     return np.array_equal(pat[:, i], pat[:, j]) or np.array_equal(out[i], out[j])
 
 
-def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
-    """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
+def _segment(net: Network, x1, x2, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated network and endpoints as flat float vectors."""
     violations = validate(net)
     if violations:
-        raise InvalidInputError(f"exact_pieces: invalid network: {violations[0]}")
+        raise InvalidInputError(f"{caller}: invalid network: {violations[0]}")
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     x2 = np.asarray(x2, dtype=float).reshape(-1)
     if x1.shape != x2.shape or x1.shape[0] != net.arch.input_dim:
         raise InvalidInputError("segment endpoints must match the input dimension")
+    return x1, x2
 
+
+def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
+    """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
+    x1, x2 = _segment(net, x1, x2, "exact_pieces")
     if np.array_equal(x1, x2):
         v = evaluate_batch(net, x1[None, :])[0]
         return SegmentPartition(x1, x2, np.array([]), np.array([], dtype=int), v[None, :])
 
-    cuts, bits = _propagate(net, x1, x2)
+    cuts, bits = _propagate(net, x1, x2, np.array([0.0, 1.0]), _root_split)
     # one traced evaluation covers the midpoints, the cut parameters, and
     # the endpoints; sameness of two parameters is judged by _same_value
     # on that call's columns
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     P, C = len(mids), len(cuts) - 2
-    ts_all = np.concatenate([mids, cuts[1:-1], [0.0, 1.0]])
-    pts = (1 - ts_all)[:, None] * x1[None, :] + ts_all[:, None] * x2[None, :]
-    out, trace = evaluate_batch(net, pts, with_trace=True)
+    out, trace = _eval_at(net, x1, x2, np.concatenate([mids, cuts[1:-1], [0.0, 1.0]]),
+                          with_trace=True)
     pat = trace[-1]
     if not np.array_equal(bits, pat[:, :P]):
         bad = int(np.nonzero(np.any(bits != pat[:, :P], axis=0))[0][0])
@@ -291,53 +312,32 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
     """
     if N < 2:
         raise InvalidInputError("sampled_pieces needs N >= 2")
-    violations = validate(net)
-    if violations:
-        raise InvalidInputError(f"sampled_pieces: invalid network: {violations[0]}")
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    x2 = np.asarray(x2, dtype=float).reshape(-1)
-    if x1.shape != x2.shape or x1.shape[0] != net.arch.input_dim:
-        raise InvalidInputError("segment endpoints must match the input dimension")
-    L = net.arch.depth
-    dx = x2 - x1
+    x1, x2 = _segment(net, x1, x2, "sampled_pieces")
 
-    starts = np.array([0, N + 1], dtype=np.int64)  # run boundaries over k = 0..N
-    B = np.zeros((0, 1))
-    U = Vl = None
-    for i in range(L):
-        P = len(starts) - 1
-        A, S = _layer_affine(net, i, B, U, Vl, x1, dx, P)
-        A_step, S_step, A_lin, S_lin = _split_step_lin(net, i, A, S)
-        lo = starts[:-1]
-        hi = starts[1:] - 1
-        rows, cols = np.nonzero(S_step != 0.0)
-        splits = np.empty(0, dtype=np.int64)
+    def flip_split(A: np.ndarray, S: np.ndarray, starts: np.ndarray):
+        # runs of grid indices k = 0..N, split where a step state flips
+        lo, hi = starts[:-1], starts[1:] - 1
+        rows, cols = np.nonzero(S != 0.0)
         if rows.size:
-            k = _flip_indices(A_step[rows, cols], S_step[rows, cols], N,
-                              lo[cols], hi[cols])
+            k = _flip_indices(A[rows, cols], S[rows, cols], N, lo[cols], hi[cols])
             splits = k[k <= hi[cols]]
-        starts_new = np.unique(np.concatenate([starts, splits])) if splits.size else starts
-        heads = starts_new[:-1]
-        parent = np.searchsorted(starts, heads, side="right") - 1
-        tvals = heads / N
-        B = np.ascontiguousarray(
-            np.where(A_step[:, parent] + S_step[:, parent] * tvals[None, :] >= 0.0, 1.0, 0.0))
-        if A_lin is not None:
-            U, Vl = A_lin[:, parent].copy(), S_lin[:, parent].copy()
-        else:
-            U = Vl = None
-        starts = starts_new
-    # run values come from one traced evaluation at one grid point per run;
-    # adjacent runs compare by _same_value on that call
-    out, trace = _eval_at(net, x1, x2, starts[:-1] / N, with_trace=True)
-    pat = trace[-1]
+            if splits.size:
+                starts = np.unique(np.concatenate([starts, splits]))
+        return starts, starts[:-1] / N
 
-    gaps = []
-    for ri in range(len(starts) - 2):
-        if not _same_value(pat, out, ri, ri + 1):
-            a = (starts[ri + 1] - 1) / N  # last grid point of run ri
-            b = starts[ri + 1] / N        # first grid point of run ri+1
-            gaps.append((a, b))
+    starts, _ = _propagate(net, x1, x2, np.array([0, N + 1], dtype=np.int64), flip_split)
+    # one traced evaluation reads every run at its first and its last grid
+    # point; each change between adjacent read points (by _same_value's
+    # rule) is a gap to refine, including one inside a run whose head
+    # still carries its left neighbour's value
+    ends = np.repeat(starts, 2)[1:-1]  # first and last index of each run
+    ends[1::2] -= 1
+    ts = ends / N
+    out, trace = _eval_at(net, x1, x2, ts, with_trace=True)
+    pat = trace[-1]
+    same = (pat[:, 1:] == pat[:, :-1]).all(axis=0) | (out[1:] == out[:-1]).all(axis=1)
+    changed = np.nonzero(~same)[0]
+    gaps = list(zip(ts[changed].tolist(), ts[changed + 1].tolist()))
 
     # bisection refinement; each round evaluates (a, mid, b) of every active
     # gap in one traced call so the three-way comparisons are self-consistent

@@ -17,7 +17,11 @@ coordinate-major layout: input slot ``i * levels + (l - 1)`` carries digit
 Skip decoding runs one slice per r value: a bank of cell-index indicator
 neurons, a stored-bit row selection, an AND with the k-hit, and the slice
 output ``eta * step(r(x) = r)``; slices occupy staggered consecutive layers
-and a running-sum neuron accumulates their outputs.  Lin decoding packs
+and a running-sum neuron accumulates their outputs.  ``grow_skip_decoder_bank``
+is the one generator of these slice stacks: inside a host network it
+forwards the digit bits, and the standalone skip decoder is the same bank
+on an empty builder, whose later slices read the digits through skip
+taps.  Lin decoding packs
 each stored-bit column into a dyadic real ``0.eta_1...eta_R``, selects it
 with identity neurons, and streams the digits back out with the narrow
 binary extractor.
@@ -179,10 +183,12 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
 
     ``bits`` are decoder-slot handles in the builder's current last layer;
     binary forwarding replaces the skip taps, so the bank embeds into any
-    host kind.  ``carry`` handles are forwarded through all R+3 added
-    layers.  Returns one handle group per table — each group sums to the
-    table's stored bit for the cell containing x — plus the carried handles
-    at the new last layer.
+    host kind.  On an empty builder the bits are input coordinates
+    instead: slice 1 reads them directly and later slices through skip
+    taps (skip kind only), with no forwarded copies.  ``carry`` handles are
+    forwarded through all R+3 added layers.  Returns one handle group per
+    table — each group sums to the table's stored bit for the cell
+    containing x — plus the carried handles at the new last layer.
 
     With a ``sites`` list, every weight that depends on the payloads is
     reported once as ``(row handle, column handle, cell, coefficient)``:
@@ -196,16 +202,18 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
     gj, gk, gr = geom.group_levels()
     J, K, R = geom.sizes
     carry = list(carry)
-    cur = {h: h for h in _dedup(list(carry) + list(bits))}
+    tapped = not nb.layers  # bits are input coordinates
+    forwarded = [] if tapped else list(bits)
+    cur = {h: h for h in _dedup(carry + forwarded)}
     stages: list[dict[int, dict]] = [{} for _ in tables]
     accums: list[int | None] = [None] * len(tables)
 
     for depth in range(1, R + 4):
         prev_cur = cur
         prev_stages = stages
-        bits_prev = [prev_cur[h] for h in bits] if depth <= R else []
+        bits_prev = bits if tapped else ([prev_cur[h] for h in bits] if depth <= R else [])
         nb.new_layer()
-        keep = _dedup(carry + (bits if depth <= R - 1 else []))
+        keep = _dedup(carry + (forwarded if depth <= R - 1 else []))
         cur = {h: nb.forward(prev_cur[h]) for h in keep}
         stages = [{} for _ in tables]
         for ti, table in enumerate(tables):
@@ -215,7 +223,10 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
             if r <= R:  # stage A of slice r: index-indicator banks
                 def ind(group, index):
                     row, bias = _indicator_row(geom.target_bits(group, index))
-                    return nb.step({bits_prev[s]: w for s, w in row.items()}, bias=bias)
+                    taps = {bits_prev[s]: w for s, w in row.items()}
+                    if tapped and depth > 1:
+                        return nb.step({}, bias=bias, inp=taps)
+                    return nb.step(taps, bias=bias)
                 stages[ti][r] = {"j": [ind(gj, j) for j in range(1, J + 1)],
                                  "k": [ind(gk, k) for k in range(1, K + 1)],
                                  "r": ind(gr, r)}
@@ -367,66 +378,6 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     return parts, [cur[h] for h in carry] + absorbed
 
 
-def _skip_decoder_standalone(table: BitTable) -> BuiltNetwork:
-    """Full skip decoder on raw digit inputs, skip taps carrying the bits
-    to the later slices (no forwarded copies)."""
-    geom = table.geometry
-    gj, gk, gr = geom.group_levels()
-    J, K, R = geom.sizes
-    payload = table.payload
-    big = J + K + 1 > 512
-    nb = NetBuilder(geom.d * geom.levels, NetworkKind.SKIP, sparse=big)
-    stages: dict[int, dict] = {}
-    accum: int | None = None
-    for depth in range(1, R + 4):
-        prev = stages
-        nb.new_layer()
-        stages = {}
-        r = depth
-        if r <= R:
-            def ind(group, index):
-                row, bias = _indicator_row(geom.target_bits(group, index))
-                if depth == 1:
-                    return nb.step(dict(row), bias=bias)
-                return nb.step({}, bias=bias, inp=dict(row))
-            stages[r] = {"j": [ind(gj, j) for j in range(1, J + 1)],
-                         "k": [ind(gk, k) for k in range(1, K + 1)],
-                         "r": ind(gr, r)}
-        r = depth - 1
-        if 1 <= r <= R:
-            blk = prev[r]
-            stages[r] = {
-                "eta": [nb.step({h: 1.0 for j, h in enumerate(blk["j"])
-                                 if payload[j, k, r - 1]}, bias=-0.5) for k in range(K)],
-                "k": [nb.forward(h) for h in blk["k"]],
-                "r": nb.forward(blk["r"]),
-            }
-        r = depth - 2
-        if 1 <= r <= R:
-            blk = prev[r]
-            stages[r] = {"and": [nb.step({e: 1.0, kk: 1.0}, bias=-1.5)
-                                 for e, kk in zip(blk["eta"], blk["k"])],
-                         "r": nb.forward(blk["r"])}
-        r = depth - 3
-        if 1 <= r <= R:
-            blk = prev[r]
-            row = {h: 1.0 for h in blk["and"]}
-            row[blk["r"]] = row.get(blk["r"], 0.0) + 1.0
-            stages[r] = {"out": nb.step(row, bias=-1.5)}
-        if depth == 5 and R >= 2:
-            accum = nb.forward(prev[1]["out"])
-        elif depth >= 6:
-            accum = nb.step({accum: 1.0, prev[depth - 4]["out"]: 1.0}, bias=-0.5)
-    parts = [stages[R]["out"]]
-    if accum is not None:
-        parts.append(accum)
-    nb.output([{h: 1.0 for h in parts}], [-0.5])
-    net, probes = nb.build()
-    return BuiltNetwork(net, None, probes,
-                        Construction("decoder", {"kind": "skip", "d": geom.d,
-                                                 "m": geom.m, "n": geom.n}))
-
-
 def _slice_decoder(table: BitTable, r_select: int) -> BuiltNetwork:
     """Plain three-hidden-layer decoder for one fixed r slice."""
     geom = table.geometry
@@ -462,16 +413,25 @@ def _slice_decoder(table: BitTable, r_select: int) -> BuiltNetwork:
                                                  "n": geom.n, "r_select": r_select}))
 
 
-def _lin_decoder_standalone(table: BitTable) -> BuiltNetwork:
+def _standalone_decoder(table: BitTable) -> BuiltNetwork:
+    """Full decoder on raw digit inputs: the skip bank with taps, or the
+    lin block."""
     geom = table.geometry
     J, K, _ = geom.sizes
-    nb = NetBuilder(geom.d * geom.levels, NetworkKind.LIN, sparse=J + K > 512)
-    parts, _ = grow_lin_decoder(nb, table, list(range(geom.d * geom.levels)))
-    nb.output([{h: 1.0 for h in parts}], [0.0])
+    inputs = list(range(geom.d * geom.levels))
+    params = {"kind": geom.kind, "d": geom.d, "m": geom.m, "n": geom.n}
+    if geom.kind == "skip":
+        nb = NetBuilder(len(inputs), NetworkKind.SKIP, sparse=J + K + 1 > 512)
+        (parts,), _ = grow_skip_decoder_bank(nb, [table], inputs)
+        out_bias = -0.5
+    else:
+        nb = NetBuilder(len(inputs), NetworkKind.LIN, sparse=J + K > 512)
+        parts, _ = grow_lin_decoder(nb, table, inputs)
+        out_bias = 0.0
+        params["t"] = geom.t
+    nb.output([{h: 1.0 for h in parts}], [out_bias])
     net, probes = nb.build()
-    return BuiltNetwork(net, None, probes,
-                        Construction("decoder", {"kind": "lin", "d": geom.d, "m": geom.m,
-                                                 "n": geom.n, "t": geom.t}))
+    return BuiltNetwork(net, None, probes, Construction("decoder", params))
 
 
 def decoder(kind: str, table: BitTable, r_select: int | None = None) -> BuiltNetwork:
@@ -484,10 +444,8 @@ def decoder(kind: str, table: BitTable, r_select: int | None = None) -> BuiltNet
     if kind != table.geometry.kind:
         raise InvalidInputError(
             f"decoder kind {kind!r} does not match table geometry {table.geometry.kind!r}")
+    if r_select is None:
+        return _standalone_decoder(table)
     if kind == "lin":
-        if r_select is not None:
-            raise InvalidInputError("r_select applies to the skip family only")
-        return _lin_decoder_standalone(table)
-    if r_select is not None:
-        return _slice_decoder(table, r_select)
-    return _skip_decoder_standalone(table)
+        raise InvalidInputError("r_select applies to the skip family only")
+    return _slice_decoder(table, r_select)

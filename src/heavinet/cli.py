@@ -4,7 +4,7 @@ Subcommands::
 
     build {rect|parity|xor|pc1d|square|bits|decoder|holder|shatter-net} ... -o PATH
     eval NET (--points CSV | --grid N) [-o PATH]
-    pieces NET --from CSV --to CSV [--exact | --sampled N] [--refine-tol T]
+    pieces NET --from CSV --to CSV [--sampled N] [--refine-tol T]
     sweep {square|holder} ... [-o PATH]
     shatter --kind K --m M --n N [--t T] [--sample S] [--seed SEED] [-o PATH]
     bounds --kind K --L L --p P [--s S] [--d D] [--lo LO] [--hi HI]
@@ -358,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("net")
     p.add_argument("--from", required=True, help="segment start, comma separated")
     p.add_argument("--to", required=True, help="segment end, comma separated")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exact", action="store_true", default=True)
-    g.add_argument("--sampled", type=int, default=None, metavar="N")
+    p.add_argument("--sampled", type=int, default=None, metavar="N",
+                   help="count pieces on an N-interval grid instead of the exact partition")
     p.add_argument("--refine-tol", type=float, default=1e-12)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_pieces)

@@ -54,6 +54,19 @@ def test_all_ones_payload_fires_everywhere():
         assert evaluate(g.net, geom.cell_bits(*cell).ravel())[0] >= 0
 
 
+@pytest.mark.parametrize("m, n, widths, skip_counts", [
+    (1, 1, (3, 5, 10, 8, 4, 2, 1), (5, 0, 0, 0)),
+    (2, 1, (5, 9, 18, 14, 6, 2, 1), (9, 0, 0, 0)),
+    (1, 2, (4, 5, 10, 13, 14, 10, 5, 2, 1), (5, 5, 5, 0, 0, 0)),
+])
+def test_skip_decoder_architecture(m, n, widths, skip_counts):
+    # later slices read the digits through skip taps, not forwarded copies
+    geom = CellGeometry("skip", 1, m, n)
+    arch = decoder("skip", BitTable(geom, np.ones(geom.sizes, dtype=int))).net.arch
+    assert arch.widths == widths
+    assert arch.skip_counts == skip_counts
+
+
 def _decode_all_cells(built, table, thresholded):
     geom = table.geometry
     bad = []

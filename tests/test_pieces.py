@@ -5,7 +5,7 @@ import pytest
 
 from heavinet import InvalidInputError, NetworkKind, evaluate_batch
 from heavinet.analysis import exact_pieces, piece_bound, sampled_pieces
-from heavinet.analysis.pieces import _grid_values_dense, _same_value
+from heavinet.analysis.pieces import _grid_values_dense, _propagate, _root_split, _same_value
 from heavinet.builders import (
     hyperrectangle_indicator,
     mixed_radix_bit_extractor,
@@ -66,6 +66,41 @@ def test_extractor_achieves_bound():
     built = mixed_radix_bit_extractor((2, 2, 2))
     part = exact_pieces(built.net, [0.0], [1.0])
     assert part.piece_count == piece_bound(built.net.arch) == 8
+
+
+@pytest.mark.parametrize("radix, pieces", [((3,) + (2,) * 8, 768),
+                                           ((2, 3) + (2,) * 7, 768),
+                                           ((5, 5, 5, 5), 625)])
+def test_sampled_counts_non_power_of_two_radix(radix, pieces):
+    # the grid changes value one index away from some run boundaries here,
+    # so a run's head can carry its left neighbour's value
+    net = mixed_radix_bit_extractor(radix).net
+    N = 1_000_000
+    dense = _grid_values_dense(net, [0.0], [1.0], N)
+    grid = int(np.sum(np.any(dense[1:] != dense[:-1], axis=1))) + 1
+    assert sampled_pieces(net, [0.0], [1.0], N, refine_tol=1e-9) == pieces
+    assert exact_pieces(net, [0.0], [1.0]).piece_count == grid == pieces
+
+
+def test_propagation_checks_layer_ceiling():
+    # a plain network's regions are fixed by layer 1 (p_1 + 1 = 3 here); a
+    # split that still adds a boundary in layer 2 breaks the counting argument
+    net = hyperrectangle_indicator([0.2], [0.8]).net
+    assert net.arch.kind is NetworkKind.PLAIN and net.arch.depth == 2
+    calls = []
+
+    def split(A, S, cuts):
+        calls.append(A)
+        cuts, _ = _root_split(A, S, cuts)
+        if len(calls) == 2:  # layer 2
+            cuts = np.sort(np.append(cuts, 0.5 * (cuts[0] + cuts[1])))
+        return cuts, 0.5 * (cuts[:-1] + cuts[1:])
+
+    with pytest.raises(AssertionError, match="after layer 2"):
+        _propagate(net, np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]), split)
+    cuts, _ = _propagate(net, np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]),
+                         _root_split)
+    assert np.allclose(cuts, [0.0, 0.2, 0.8, 1.0])
 
 
 def test_run_compression_equals_dense_grid():
