@@ -23,7 +23,12 @@ bisection refinement of every detected change.  Its split cuts runs of
 grid indices where a step state flips.  A run boundary can land one index
 away from the grid's own value change, so every run is read at its first
 and its last grid point; ``_grid_values_dense`` is the literal dense
-evaluator the tests compare against.
+evaluator the tests compare against.  Bisection runs array-at-a-time: each
+round halves every open gap in one evaluation, and a gap ends at the
+tolerance or where a float cannot split it any further.
+
+Both analyses judge sameness of evaluated parameters by one elementwise
+rule, ``_same_value``.
 """
 
 from __future__ import annotations
@@ -172,17 +177,19 @@ def _eval_at(net: Network, x1, x2, ts: np.ndarray, with_trace: bool = False):
     return evaluate_batch(net, pts, with_trace=with_trace)
 
 
-def _same_value(pat: np.ndarray, out: np.ndarray, i: int, j: int) -> bool:
-    """Whether two evaluated parameters carry the same output.
+def _same_value(pat: np.ndarray, out: np.ndarray, i, j):
+    """Whether evaluated parameters ``i`` and ``j`` carry the same output.
 
-    Columns with equal last-hidden-layer activation patterns are equal by
-    construction (the output is one affine map of that pattern), whatever
-    the low bits of the evaluated floats say — BLAS kernels may round the
-    same dot product differently between columns.  Different patterns
-    compare by exact output equality, which catches genuine cancellations
-    (they are exact in the dyadic constructions this package emits).
+    ``i`` and ``j`` are columns of one evaluation: ints, index arrays or
+    slices, compared elementwise.  Columns with equal last-hidden-layer
+    activation patterns are equal by construction (the output is one
+    affine map of that pattern), whatever the low bits of the evaluated
+    floats say — BLAS kernels may round the same dot product differently
+    between columns.  Different patterns compare by exact output equality,
+    which catches genuine cancellations (they are exact in the dyadic
+    constructions this package emits).
     """
-    return np.array_equal(pat[:, i], pat[:, j]) or np.array_equal(out[i], out[j])
+    return (pat[:, i] == pat[:, j]).all(axis=0) | (out[i] == out[j]).all(axis=-1)
 
 
 def _segment(net: Network, x1, x2, caller: str) -> tuple[np.ndarray, np.ndarray]:
@@ -218,41 +225,42 @@ def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
         raise AssertionError(
             f"piece propagation disagrees with direct evaluation at t={mids[bad]}")
 
-    def same(i: int, j: int) -> bool:
+    def same(i, j):
         return _same_value(pat, out, i, j)
 
-    # merge adjacent interiors that carry the same output
-    keep = [True] + [not same(i - 1, i) for i in range(1, P)]
-    piece_cols = [i for i, k in enumerate(keep) if k]
-    values = out[piece_cols]
-    bps = [float(cuts[1:-1][i - 1]) for i in range(1, P) if keep[i]]
-    bp_cols = [P + (i - 1) for i in range(1, P) if keep[i]]
-    inner = [(float(cuts[1:-1][i - 1]), P + (i - 1)) for i in range(1, P) if not keep[i]]
-
-    flags: list[int] = []
+    # merge adjacent interiors that carry the same output; a breakpoint's
+    # flag compares it with the first column of each neighbouring piece
+    # (not the adjacent midpoint: sameness is not transitive)
+    inner = cuts[1:-1]
     point_values: dict[float, np.ndarray] = {}
-    for i, (t, col) in enumerate(zip(bps, bp_cols)):
-        if same(col, piece_cols[i + 1]):
-            flags.append(1)
-        elif same(col, piece_cols[i]):
-            flags.append(-1)
-        else:
-            flags.append(0)
-            point_values[t] = out[col]
+    if P == 1:
+        piece_cols = np.zeros(1, dtype=np.int64)
+        bps, flags, values = inner, np.zeros(0, dtype=int), out[piece_cols]
+    else:
+        keep = np.empty(P, dtype=bool)
+        keep[0] = True
+        keep[1:] = ~same(slice(0, P - 1), slice(1, P))
+        piece_cols = np.flatnonzero(keep)
+        bp_cols = P + np.flatnonzero(keep[1:])
+        bps, values = inner[keep[1:]], out[piece_cols]
+        # +1: the breakpoint takes the right piece's value, -1: the left's, 0: neither
+        right = same(bp_cols, piece_cols[1:])
+        flags = right.astype(int) - (same(bp_cols, piece_cols[:-1]) & ~right)
+        for k in np.flatnonzero(flags == 0):
+            point_values[float(bps[k])] = out[bp_cols[k]]
 
-    # crossings swallowed by merging can still hide a single-point piece
-    # (opposite inclusion sides meeting at one parameter)
-    inserts = []
-    for t, col in inner:
-        piece = int(np.searchsorted(np.array(bps), t)) if bps else 0
-        if not same(col, piece_cols[piece]):
-            inserts.append((t, out[col]))
-    for t, v in sorted(inserts, key=lambda iv: iv[0]):
-        idx = int(np.searchsorted(np.array(bps), t)) if bps else 0
-        bps.insert(idx, t)
-        flags.insert(idx, 0)
-        values = np.insert(values, idx + 1, values[idx], axis=0)
-        point_values[t] = v
+        # crossings swallowed by merging can still hide a single-point
+        # piece (opposite inclusion sides meeting at one parameter)
+        swallowed = np.flatnonzero(~keep[1:])
+        if swallowed.size:
+            piece = np.searchsorted(bps, inner[swallowed])
+            hidden = ~same(P + swallowed, piece_cols[piece])
+            if hidden.any():
+                piece, swallowed = piece[hidden], swallowed[hidden]
+                bps = np.insert(bps, piece, inner[swallowed])
+                flags = np.insert(flags, piece, 0)
+                values = np.insert(values, piece + 1, values[piece], axis=0)
+                point_values.update(zip(inner[swallowed].tolist(), out[P + swallowed]))
 
     # endpoint values differing from the adjoining interior (a crossing at
     # exactly t=0 or 1) are single-point pieces without a breakpoint entry;
@@ -262,8 +270,7 @@ def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
     if not same(P + C + 1, piece_cols[-1]):
         point_values[1.0] = out[P + C + 1]
 
-    return SegmentPartition(x1, x2, np.array(bps), np.array(flags, dtype=int),
-                            values, point_values)
+    return SegmentPartition(x1, x2, bps, flags, values, point_values)
 
 
 def _grid_values_dense(net: Network, x1, x2, N: int) -> np.ndarray:
@@ -307,11 +314,14 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
     """Piece count seen on the grid t = k/N plus bisection refinement.
 
     Counts value changes along the grid, then bisects every detected change
-    down to ``refine_tol``, adding any further values discovered on the
-    way.  The result never exceeds the exact piece count.
+    down to ``refine_tol`` (which must be positive) or to adjacent floats,
+    adding any further values discovered on the way.  The result never
+    exceeds the exact piece count.
     """
     if N < 2:
         raise InvalidInputError("sampled_pieces needs N >= 2")
+    if not refine_tol > 0:
+        raise InvalidInputError(f"sampled_pieces needs refine_tol > 0, got {refine_tol}")
     x1, x2 = _segment(net, x1, x2, "sampled_pieces")
 
     def flip_split(A: np.ndarray, S: np.ndarray, starts: np.ndarray):
@@ -327,45 +337,38 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
 
     starts, _ = _propagate(net, x1, x2, np.array([0, N + 1], dtype=np.int64), flip_split)
     # one traced evaluation reads every run at its first and its last grid
-    # point; each change between adjacent read points (by _same_value's
-    # rule) is a gap to refine, including one inside a run whose head
-    # still carries its left neighbour's value
+    # point; each change between adjacent read points is a gap to refine,
+    # including one inside a run whose head still carries its left
+    # neighbour's value
     ends = np.repeat(starts, 2)[1:-1]  # first and last index of each run
     ends[1::2] -= 1
     ts = ends / N
     out, trace = _eval_at(net, x1, x2, ts, with_trace=True)
-    pat = trace[-1]
-    same = (pat[:, 1:] == pat[:, :-1]).all(axis=0) | (out[1:] == out[:-1]).all(axis=1)
-    changed = np.nonzero(~same)[0]
-    gaps = list(zip(ts[changed].tolist(), ts[changed + 1].tolist()))
+    changed = np.flatnonzero(~_same_value(trace[-1], out, slice(1, None), slice(None, -1)))
+    a, b = ts[changed], ts[changed + 1]
 
-    # bisection refinement; each round evaluates (a, mid, b) of every active
-    # gap in one traced call so the three-way comparisons are self-consistent
+    # bisection refinement, all open gaps at once; each round evaluates
+    # (a, mid, b) of every gap in one traced call so the three-way
+    # comparisons are self-consistent
     changes = 0
-    active = gaps
-    while active:
-        still = []
-        for g in active:
-            if g[1] - g[0] <= refine_tol:
-                changes += 1
-            else:
-                still.append(g)
-        active = still
-        if not active:
-            break
-        ts = np.concatenate([[a, 0.5 * (a + b), b] for a, b in active])
-        rout, rtrace = _eval_at(net, x1, x2, ts, with_trace=True)
-        rpat = rtrace[-1]
-        nxt = []
-        for gi, (a, b) in enumerate(active):
-            ia, im, ib = 3 * gi, 3 * gi + 1, 3 * gi + 2
-            m = 0.5 * (a + b)
-            if _same_value(rpat, rout, im, ia):
-                nxt.append((m, b))
-            elif _same_value(rpat, rout, im, ib):
-                nxt.append((a, m))
-            else:  # a third value inside: two distinct changes
-                nxt.append((a, m))
-                nxt.append((m, b))
-        active = nxt
+    while a.size:
+        mid = 0.5 * (a + b)
+        # a gap ends at the tolerance or where a float cannot split it
+        done = (b - a <= refine_tol) | (mid == a) | (mid == b)
+        if done.any():
+            changes += int(np.count_nonzero(done))
+            a, mid, b = a[~done], mid[~done], b[~done]
+            if not a.size:
+                break
+        abm = np.empty((a.size, 3))
+        abm[:, 0], abm[:, 1], abm[:, 2] = a, mid, b
+        rout, rtrace = _eval_at(net, x1, x2, abm.reshape(-1), with_trace=True)
+        at_a = _same_value(rtrace[-1], rout, slice(1, None, 3), slice(0, None, 3))
+        at_b = _same_value(rtrace[-1], rout, slice(1, None, 3), slice(2, None, 3))
+        # keep (a, mid) unless mid carries a's value, and (mid, b) when it
+        # carries a's value or not b's (a third value inside: two changes)
+        keep = np.empty((a.size, 2), dtype=bool)
+        keep[:, 0] = ~at_a
+        keep[:, 1] = at_a | ~at_b
+        a, b = abm[:, :2][keep], abm[:, 1:][keep]
     return changes + 1

@@ -34,10 +34,11 @@ from .analysis import (
     shatter_verify,
     sup_error,
 )
-from .builders import BitTable, CellGeometry, HolderConfig
+from .builders import BitTable, CellGeometry
 from .errors import InvalidInputError, ParseError, PrecisionError, ResourceLimitError
 from .networks import NetworkKind, evaluate_batch, validate
 from .serialize import from_document, to_document
+from .targets import TARGETS
 
 USAGE_ERROR, VERIFY_ERROR = 2, 1
 
@@ -87,47 +88,6 @@ def _load_points(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-# -- target registry for holder builds and sweeps ----------------------------
-
-def _poly_target(name: str):
-    """Named smooth targets: value oracle, derivative oracle, beta, d,
-    per-index derivative bounds, and a smoothness-norm bound."""
-    if name == "x2":
-        def deriv(alpha, X):
-            a = alpha[0]
-            if a == 0:
-                return X[:, 0] ** 2
-            if a == 1:
-                return 2.0 * X[:, 0]
-            return np.zeros(len(X))
-        return (lambda X: X[:, 0] ** 2), deriv, 2.0, 1, {(0,): 1.0, (1,): 2.0}, 5.0
-    if name == "x1x2":
-        def deriv(alpha, X):
-            if alpha == (0, 0):
-                return X[:, 0] * X[:, 1]
-            if alpha == (1, 0):
-                return X[:, 1]
-            if alpha == (0, 1):
-                return X[:, 0]
-            return np.zeros(len(X))
-        return (lambda X: X[:, 0] * X[:, 1]), deriv, 2.0, 2, \
-            {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, 5.0
-    if name == "x3mx":
-        def deriv(alpha, X):
-            a = alpha[0]
-            x = X[:, 0]
-            if a == 0:
-                return x ** 3 - x
-            if a == 1:
-                return 3 * x ** 2 - 1
-            if a == 2:
-                return 6 * x
-            return np.zeros(len(X))
-        return (lambda X: X[:, 0] ** 3 - X[:, 0]), deriv, 3.0, 1, \
-            {(0,): 1.0, (1,): 2.0, (2,): 6.0}, 15.0
-    raise InvalidInputError(f"unknown target {name!r} (choose x2, x1x2, x3mx)")
-
-
 def _payload_from_arg(geom: CellGeometry, arg: str, seed: int) -> np.ndarray:
     J, K, R = geom.sizes
     if arg == "random":
@@ -170,10 +130,8 @@ def _cmd_build(args) -> int:
         table = BitTable(geom, _payload_from_arg(geom, args.payload, args.seed))
         built = builders.decoder(args.kind, table, args.r_select)
     elif what == "holder":
-        _, deriv, beta, d, bounds, norm = _poly_target(args.target)
-        cfg = HolderConfig(beta=beta, d=d, m=args.m, n=args.n, bounds=bounds,
-                           deriv=deriv, holder_norm_bound=norm,
-                           t=args.t if args.kind == "lin" else None)
+        cfg = TARGETS[args.target].holder_config(
+            args.m, args.n, args.t if args.kind == "lin" else None)
         built = builders.holder_approximator(args.kind, cfg)
     elif what == "shatter-net":
         lam = np.array([int(c) for c in args.labels])
@@ -238,15 +196,13 @@ def _cmd_sweep(args) -> int:
                 rows.append(f"{L},{s},{bound!r},{res.value!r},{ratio!r}")
     else:
         rows.append("m,n,q,bound,measured_sup_error,ratio")
-        f0, deriv, beta, d, bounds, norm = _poly_target(args.target)
+        target = TARGETS[args.target]
         for m in _range(args.m):
             for n in _range(args.n):
-                cfg = HolderConfig(beta=beta, d=d, m=m, n=n, bounds=bounds,
-                                   deriv=deriv, holder_norm_bound=norm,
-                                   t=args.t if args.kind == "lin" else None)
+                cfg = target.holder_config(m, n, args.t if args.kind == "lin" else None)
                 built = builders.holder_approximator(args.kind, cfg)
                 bound = built.guarantee.sup_error_bound
-                res = sup_error(built.net, f0, per_axis=args.grid)
+                res = sup_error(built.net, target.value, per_axis=args.grid)
                 ratio = res.value / bound
                 worst_ratio = max(worst_ratio, ratio)
                 q = built.construction.parameters["q"]
@@ -332,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-select", type=int, default=None)
     p = bs.add_parser("holder")
     p.add_argument("--kind", choices=["skip", "lin"], required=True)
-    p.add_argument("--target", choices=["x2", "x1x2", "x3mx"], required=True)
+    p.add_argument("--target", choices=list(TARGETS), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=1)
@@ -360,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, help="segment end, comma separated")
     p.add_argument("--sampled", type=int, default=None, metavar="N",
                    help="count pieces on an N-interval grid instead of the exact partition")
-    p.add_argument("--refine-tol", type=float, default=1e-12)
+    p.add_argument("--refine-tol", type=float, default=1e-12,
+                   help="bisection stops at gaps this wide; must be > 0 (default 1e-12)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_pieces)
 
@@ -373,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", default=None)
     q = ss.add_parser("holder")
     q.add_argument("--kind", choices=["skip", "lin"], default="skip")
-    q.add_argument("--target", choices=["x2", "x1x2", "x3mx"], default="x2")
+    q.add_argument("--target", choices=list(TARGETS), default="x2")
     q.add_argument("--m", required=True, help="range like 1..2")
     q.add_argument("--n", required=True, help="range like 1..2")
     q.add_argument("--t", type=int, default=1)

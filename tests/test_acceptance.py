@@ -23,7 +23,6 @@ from heavinet.analysis import (
 from heavinet.builders import (
     BitTable,
     CellGeometry,
-    HolderConfig,
     PieceSpec,
     binary_bit_extractor_lin,
     decoder,
@@ -36,6 +35,7 @@ from heavinet.builders import (
     square_approximator,
     xor_network,
 )
+from heavinet.targets import TARGETS
 from netgen import random_network, random_segment
 
 
@@ -223,42 +223,11 @@ def test_criterion_6_shatter_certificates():
 
 # -- 7: Hoelder construction error ----------------------------------------------
 
-def _targets():
-    def d_sq(alpha, X):
-        a = alpha[0]
-        return X[:, 0] ** 2 if a == 0 else (2.0 * X[:, 0] if a == 1 else np.zeros(len(X)))
-
-    def d_prod(alpha, X):
-        if alpha == (0, 0):
-            return X[:, 0] * X[:, 1]
-        if alpha == (1, 0):
-            return X[:, 1]
-        if alpha == (0, 1):
-            return X[:, 0]
-        return np.zeros(len(X))
-
-    def d_cubic(alpha, X):
-        a = alpha[0]
-        x = X[:, 0]
-        if a == 0:
-            return x ** 3 - x
-        if a == 1:
-            return 3 * x ** 2 - 1
-        return 6 * x if a == 2 else np.zeros(len(X))
-
-    return [
-        ("x^2", lambda X: X[:, 0] ** 2, d_sq, 2.0, 1, {(0,): 1.0, (1,): 2.0}, 5.0),
-        ("x1*x2", lambda X: X[:, 0] * X[:, 1], d_prod, 2.0, 2,
-         {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0}, 5.0),
-        ("x^3-x", lambda X: X[:, 0] ** 3 - X[:, 0], d_cubic, 3.0, 1,
-         {(0,): 1.0, (1,): 2.0, (2,): 6.0}, 15.0),
-    ]
-
-
-def _holder_case(kind, name, f0, deriv, beta, d, bounds, norm, m, n, t, rng):
-    cfg = HolderConfig(beta=beta, d=d, m=m, n=n, bounds=bounds, deriv=deriv,
-                       holder_norm_bound=norm, t=t)
-    built = holder_approximator(kind, cfg)
+def _holder_case(kind, name, m, n, t, rng):
+    target = TARGETS[name]
+    f0, deriv, beta, d, bounds = (target.value, target.deriv, target.beta, target.d,
+                                  target.bounds)
+    built = holder_approximator(kind, target.holder_config(m, n, t))
     geom = CellGeometry(kind, d, m, n, t or 0)
     levels = geom.levels
     q = int(np.ceil(beta)) * levels
@@ -286,12 +255,12 @@ def test_criterion_7_holder_errors():
     t0 = time.perf_counter()
     rng = np.random.default_rng(77)
     cases = 0
-    for name, f0, deriv, beta, d, bounds, norm in _targets():
+    for name in TARGETS:
         for m, n in [(1, 1), (2, 2)]:
-            _holder_case("skip", name, f0, deriv, beta, d, bounds, norm, m, n, None, rng)
+            _holder_case("skip", name, m, n, None, rng)
             cases += 1
         for m, n, t in [(1, 0, 1), (1, 1, 1)]:
-            _holder_case("lin", name, f0, deriv, beta, d, bounds, norm, m, n, t, rng)
+            _holder_case("lin", name, m, n, t, rng)
             cases += 1
     elapsed = time.perf_counter() - t0
     _report(7, f"{cases} target/geometry cases within the stated error bounds "

@@ -3,7 +3,9 @@
 import json
 
 import numpy as np
+import pytest
 from heavinet.cli import run
+from heavinet.targets import TARGETS
 
 
 def _run(capsys, *argv):
@@ -47,6 +49,25 @@ def test_pieces_subcommand(tmp_path, capsys):
     code, out = _run(capsys, "pieces", str(net), "--from", "0", "--to", "1",
                      "--sampled", "1000")
     assert code == 0 and out.strip() == "pieces,2"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_pieces_refine_tol_must_be_positive(tmp_path, capsys, tol):
+    net = tmp_path / "net.json"
+    _run(capsys, "build", "square", "--L", "2", "--p1", "1", "--skips", "0",
+         "-o", str(net))
+    code = run(["pieces", str(net), "--from", "0", "--to", "1",
+                "--sampled", "100", f"--refine-tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "refine_tol > 0" in captured.err
+
+
+def test_holder_target_choices_are_the_target_table(capsys):
+    for argv in (["build", "holder", "--kind", "skip"], ["sweep", "holder"]):
+        assert run(argv + ["--m", "1", "--n", "0", "--target", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "(choose from " + ", ".join(map(repr, TARGETS)) + ")" in err
 
 
 def test_bounds_hand_value(capsys):

@@ -1,10 +1,12 @@
 """Segment partitions: worked cases, the grid cross-check, reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 
 from heavinet import InvalidInputError, NetworkKind, evaluate_batch
-from heavinet.analysis import exact_pieces, piece_bound, sampled_pieces
+from heavinet.analysis import exact_pieces, piece_bound, pieces, sampled_pieces
 from heavinet.analysis.pieces import _grid_values_dense, _propagate, _root_split, _same_value
 from heavinet.builders import (
     hyperrectangle_indicator,
@@ -60,6 +62,67 @@ def test_sampled_rejects_tiny_grid():
     built = xor_network()
     with pytest.raises(InvalidInputError):
         sampled_pieces(built.net, [0, 0], [1, 1], 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_sampled_rejects_non_positive_refine_tol(tol):
+    built = xor_network()
+    with pytest.raises(InvalidInputError, match="refine_tol"):
+        sampled_pieces(built.net, [0, 0], [1, 1], 100, refine_tol=tol)
+
+
+def test_sampled_ends_gaps_a_float_cannot_split(monkeypatch):
+    # below float spacing a gap's midpoint rounds to an endpoint; the gap
+    # ends there as one change instead of repeating forever
+    eval_at, calls = pieces._eval_at, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        assert len(calls) < 200, "bisection does not terminate"
+        return eval_at(*args, **kwargs)
+
+    monkeypatch.setattr(pieces, "_eval_at", counted)
+    net = mixed_radix_bit_extractor((2, 2)).net
+    assert sampled_pieces(net, [0.0], [1.0], 100, refine_tol=1e-20) == 4
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("radix", [(2, 2, 2), (4, 2), (3, 3), (8,), (2, 2, 2, 2)])
+def test_sampled_bisection_finds_values_between_grid_points(radix, N):
+    # a coarse grid spans several pieces per gap, so bisection meets mids
+    # carrying a third value and must keep both halves
+    net = mixed_radix_bit_extractor(radix).net
+    want = math.prod(radix)
+    assert exact_pieces(net, [0.0], [1.0]).piece_count == want
+    assert sampled_pieces(net, [0.0], [1.0], N, refine_tol=1e-12) == want
+
+
+def test_same_value_elementwise_equals_scalar_rule():
+    def scalar(pat, out, i, j):
+        return np.array_equal(pat[:, i], pat[:, j]) or np.array_equal(out[i], out[j])
+
+    rng = np.random.default_rng(65)
+    for kind in NetworkKind:
+        net = random_network(kind, rng)
+        x1, x2 = random_segment(rng, net.arch.input_dim)
+        ts = rng.choice(np.sort(rng.uniform(0, 1, 12)), 30)
+        pts = (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :]
+        out, trace = evaluate_batch(net, pts, with_trace=True)
+        cases = [(trace[-1], out)]
+        # small integer patterns and outputs: equal outputs under different
+        # patterns are common here
+        cases.append((rng.integers(0, 2, (2, 30)).astype(float),
+                      rng.integers(0, 2, (30, 2)).astype(float)))
+        for pat, out in cases:
+            i, j = rng.integers(0, 30, 200), rng.integers(0, 30, 200)
+            assert _same_value(pat, out, i, j).tolist() == \
+                [scalar(pat, out, a, b) for a, b in zip(i, j)]
+            for si, sj in [(slice(0, 29), slice(1, 30)), (slice(1, None, 3), slice(0, None, 3)),
+                           (slice(1, None, 3), slice(2, None, 3))]:
+                want = [scalar(pat, out, a, b)
+                        for a, b in zip(range(30)[si], range(30)[sj])]
+                assert _same_value(pat, out, si, sj).tolist() == want
+            assert _same_value(pat, out, 3, 3)
 
 
 def test_extractor_achieves_bound():
