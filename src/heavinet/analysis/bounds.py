@@ -1,5 +1,6 @@
 """Closed-form calculators: piece-count ceilings, capacity upper bounds,
-and the matching approximation-error floor."""
+and the matching approximation-error floor.  Each raises
+``InvalidInputError`` on an architecture that ``validate`` rejects."""
 
 from __future__ import annotations
 
@@ -7,9 +8,15 @@ import math
 from dataclasses import dataclass
 
 from ..errors import InvalidInputError
-from ..networks import Architecture, NetworkKind
+from ..networks import Architecture, NetworkKind, arch_violations
 
 __all__ = ["piece_bound", "approx_lower_bound", "vc_upper_bound", "BoundReport", "bound_report"]
+
+
+def _check(arch: Architecture) -> None:
+    violations = arch_violations(arch)
+    if violations:
+        raise InvalidInputError(f"invalid {violations[0]}")
 
 
 def piece_bound(arch: Architecture) -> int:
@@ -18,9 +25,8 @@ def piece_bound(arch: Architecture) -> int:
     plain: p_1 + 1; skip: (p_1 + 1) prod_l (s_l + 1); lin: prod_l (p_l + 1)
     over the step widths.
     """
+    _check(arch)
     hidden = arch.hidden_widths
-    if not hidden:
-        raise InvalidInputError("piece bound needs at least one hidden layer")
     if arch.kind is NetworkKind.PLAIN:
         return hidden[0] + 1
     if arch.kind is NetworkKind.SKIP:
@@ -68,6 +74,7 @@ def vc_upper_bound(arch: Architecture) -> float | None:
     Requires width p >= max(input dim, augmentation, 2); returns None when
     the formula's precondition is unmet, never a fabricated number.
     """
+    _check(arch)
     rect = _rectangular(arch)
     if rect is None:
         return None

@@ -15,7 +15,7 @@ from ..builders.shatter import (
     shatter_template,
 )
 from ..errors import ResourceLimitError
-from ..networks import NetworkKind
+from ..networks import _forward
 
 __all__ = ["ShatterCertificate", "shatter_verify"]
 
@@ -72,44 +72,11 @@ def _within_budgets(arch, kind: str, m: int, n: int, t: int) -> bool:
     return True
 
 
-def _run_stages(net, x: np.ndarray, h: np.ndarray, lo: int, hi: int, filled=()) -> np.ndarray:
-    """Affine stages ``lo..hi-1`` of ``net`` on row-major activations.
-
-    ``h`` is (points, width) when shared by every labeling, or (labelings,
-    points, width); ``x`` is the (points, input) matrix the skip taps read.
-    ``filled`` yields ``(stage, W, b)`` in stage order: that stage uses the
-    (labelings, out, in) weight tensor and (labelings, out) bias instead of
-    its own.
-    """
-    arch = net.arch
-    L = arch.depth
-    filled = iter(filled)
-    pending = next(filled, None)
-    for i in range(lo, hi):
-        layer = net.layers[i]
-        if pending is not None and pending[0] == i:
-            _, W, b = pending
-            pending = next(filled, None)
-            z = h @ W.transpose(0, 2, 1)
-            b = b[:, None, :]
-        else:
-            W, b = layer.W, layer.b
-            z = (h.reshape(-1, h.shape[-1]) @ W.T).reshape(*h.shape[:-1], W.shape[0])
-        if layer.V is not None:
-            z += x @ layer.V.T
-        z -= b
-        if i < L:
-            # step(0) = 1; the identity neurons of a lin layer stay as they are
-            p = arch.widths[i + 1] if arch.kind is NetworkKind.LIN and i < L - 1 else None
-            np.greater_equal(z[..., :p], 0.0, out=z[..., :p])
-        h = z
-    return h
-
-
 def _prefix(template: ShatterTemplate, x: np.ndarray) -> np.ndarray:
     """Activations at the points ``x`` after the stages before the first
-    payload-dependent one, which every labeling shares."""
-    return _run_stages(template.net, x, x, 0, int(template.stage.min()))
+    payload-dependent one, which every labeling shares; (width, points)."""
+    cols = x.T
+    return _forward(template.net, cols, cols, 0, int(template.stage.min()))
 
 
 def labeling_outputs(template: ShatterTemplate, labelings, x: np.ndarray | None = None,
@@ -122,9 +89,9 @@ def labeling_outputs(template: ShatterTemplate, labelings, x: np.ndarray | None 
         x = template.points[:, None]
     if head is None:
         head = _prefix(template, x)
-    out = _run_stages(net, x, head, int(template.stage.min()), net.arch.depth + 1,
-                      template.fill(labelings))
-    return out[..., 0]
+    out = _forward(net, head, x.T, int(template.stage.min()), net.arch.depth + 1,
+                   template.fill(labelings))
+    return out[..., 0, :]
 
 
 def shatter_verify(kind: str, m: int, n: int, t: int = 0,
@@ -133,14 +100,16 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
 
     All ``2^points`` labelings are enumerated when that count stays within
     ``2^20``; otherwise ``sample_labelings`` structured-plus-random
-    labelings are checked (required for large geometries).
+    labelings are checked (required for large geometries), and without it
+    ``ResourceLimitError`` names the power, ``2^points``, never its digits.
 
     The labeling reaches the network only through a few decoder weights
     (a bias for the one-point geometry), so the network is built,
     validated and checked against the depth and width budgets once, with
     every label 0.  Labelings are then checked in chunks: each chunk fills
     those entries for all of its labelings and runs one tensor pass over
-    labelings x width x points, starting from the digit-extractor prefix
+    labelings x width x points through ``networks._forward``, the stage
+    loop of every forward pass, starting from the digit-extractor prefix
     computed once for all of them.  A chunk holds at most
     ``LABELING_CHUNK_ELEMENTS`` float64 values per activation or weight
     tensor (128 KiB), splitting the points as well when one labeling needs
@@ -154,7 +123,7 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     exhaustive = sample_labelings is None
     if exhaustive and npts > MAX_POINT_BITS:
         raise ResourceLimitError(
-            f"{2**npts} labelings of {npts} points exceed the 2^{MAX_POINT_BITS} cap; "
+            f"2^{npts} labelings of {npts} points exceed the 2^{MAX_POINT_BITS} cap; "
             "pass sample_labelings to spot-check")
 
     if exhaustive:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..networks import Network, NetworkKind, evaluate_batch, validate
+from ..networks import Network, NetworkKind, evaluate_batch, step_rows, validate
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
 
@@ -116,10 +116,10 @@ def _layer_affine(net: Network, i: int, B: np.ndarray, U, Vl,
 
 def _split_step_lin(net: Network, i: int, A: np.ndarray, S: np.ndarray):
     """Slice pre-activation rows into the step block and the identity block."""
-    if net.arch.kind is NetworkKind.LIN and i < net.arch.depth - 1:
-        p = net.arch.widths[i + 1]
-        return A[:p], S[:p], A[p:], S[p:]
-    return A, S, None, None
+    p = step_rows(net.arch, i)
+    if p is None:
+        return A, S, None, None
+    return A[:p], S[:p], A[p:], S[p:]
 
 
 def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray, split):

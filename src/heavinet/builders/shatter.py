@@ -35,7 +35,7 @@ def _geometry(kind: str, m: int, n: int, t: int = 0) -> CellGeometry | None:
     if levels == 0:
         return None  # degenerate single-point geometry
     if levels > MAX_POINT_BITS:
-        raise ResourceLimitError(f"{2**levels} points exceed the 2^{MAX_POINT_BITS} cap")
+        raise ResourceLimitError(f"2^{levels} points exceed the 2^{MAX_POINT_BITS} cap")
     return CellGeometry(kind, 1, m, n, t)
 
 

@@ -4,9 +4,10 @@
 ``L_front + L_back`` whose output is the back network applied to the
 front's last hidden activation vector (the front's own affine output stage
 is dropped).  Because front hidden activations are binary, a skip back is
-first rewritten without its input taps: each of its hidden layers gains
-forwarding neurons ``b = step(b - 1/2)`` that carry its input across, and
-the tap matrices become ordinary weights on those copies.
+first rewritten without its input taps by ``networks.carry_input``: each
+of its hidden layers up to the last tap gains forwarding neurons
+``b = step(b - 1/2)`` that carry its input across, and the tap matrices
+become ordinary weights on those copies.
 
 Fronts and backs with identity neurons are not supported here; the lin
 constructions in this package assemble their compositions directly.
@@ -14,59 +15,11 @@ constructions in this package assemble their compositions directly.
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
-
 from ..errors import InvalidInputError
-from ..networks import Architecture, LayerParams, Network, NetworkKind, validate
+from ..networks import Architecture, Network, NetworkKind, carry_input, mat_nonzero_rows, validate
 from .built import BuiltNetwork, Construction
 
 __all__ = ["stack_on_hidden"]
-
-
-def _dense(M):
-    if M is None:
-        return None
-    return M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
-
-
-def _deskip(net: Network) -> Network:
-    """Rewrite a skip network as a plain one by forwarding its (binary)
-    input through extra neurons in every hidden layer that still needs it."""
-    arch = net.arch
-    L, n0 = arch.depth, arch.input_dim
-    last_tap = 0
-    for i in range(1, L):
-        if net.layers[i].V is not None and _dense(net.layers[i].V).any():
-            last_tap = i
-    # forwards live in hidden layers 1..last_tap
-    widths = list(arch.widths)
-    for ell in range(1, last_tap + 1):
-        widths[ell] += n0
-    layers: list[LayerParams] = []
-    for i, layer in enumerate(net.layers):
-        W = _dense(layer.W)
-        V = _dense(layer.V)
-        b = np.asarray(layer.b, dtype=float)
-        n_out, n_in = W.shape
-        out_fwd = n0 if 1 <= i + 1 <= last_tap else 0
-        in_fwd = n0 if 1 <= i <= last_tap else 0
-        Wn = np.zeros((n_out + out_fwd, n_in + in_fwd))
-        bn = np.zeros(n_out + out_fwd)
-        Wn[:n_out, :n_in] = W
-        bn[:n_out] = b
-        if V is not None and V.any():
-            if in_fwd == 0:
-                raise InvalidInputError("skip tap after the forwards stop")
-            Wn[:n_out, n_in:] = V
-        if out_fwd:
-            if i == 0:
-                Wn[n_out:, :n0] = np.eye(n0)
-            else:
-                Wn[n_out:, n_in:n_in + n0] = np.eye(n0)
-            bn[n_out:] = 0.5  # b = step(b - 1/2)
-        layers.append(LayerParams(Wn, bn, None))
-    return Network(Architecture(NetworkKind.PLAIN, tuple(widths)), tuple(layers))
 
 
 def stack_on_hidden(front: BuiltNetwork, back: BuiltNetwork) -> BuiltNetwork:
@@ -82,7 +35,12 @@ def stack_on_hidden(front: BuiltNetwork, back: BuiltNetwork) -> BuiltNetwork:
             f"back expects {bnet.arch.input_dim} inputs, front's last hidden "
             f"layer has width {hidden_width}")
     if bnet.arch.kind is NetworkKind.SKIP:
-        bnet = _deskip(bnet)
+        last_tap = max((i for i, layer in enumerate(bnet.layers)
+                        if layer.V is not None and mat_nonzero_rows(layer.V)), default=0)
+        widths = [w + bnet.arch.input_dim if 1 <= ell <= last_tap else w
+                  for ell, w in enumerate(bnet.arch.widths)]
+        bnet = Network(Architecture(NetworkKind.PLAIN, tuple(widths)),
+                       carry_input(bnet, last_tap, 0.5))
 
     Lf, Lb = fnet.arch.depth, bnet.arch.depth
     widths = fnet.arch.widths[:-1] + bnet.arch.widths[1:]

@@ -165,17 +165,13 @@ def mat_to_rows(M) -> list[list[float]]:
 
 # -- validation --------------------------------------------------------------
 
-def validate(net: Network) -> list[str]:
-    """Check every structural invariant; returns the list of violations.
-
-    An empty list means the network is well formed.  Violations name the
-    layer and the rule so callers can report them directly.
-    """
-    out: list[str] = []
-    arch = net.arch
+def arch_violations(arch: Architecture) -> list[str]:
+    """The architecture half of ``validate``: depth, widths, skip budgets
+    and the identity-neuron count, without any layer."""
     L = arch.depth
     if L < 1:
         return [f"architecture: depth {L} < 1"]
+    out: list[str] = []
     if any(w < 1 for w in arch.widths):
         out.append(f"architecture: widths {arch.widths} contain an entry < 1")
     if arch.kind is NetworkKind.SKIP:
@@ -195,8 +191,20 @@ def validate(net: Network) -> list[str]:
             out.append(f"architecture: lin_count {arch.lin_count} < 0")
     elif arch.lin_count:
         out.append("architecture: lin_count set on a non-lin network")
+    return out
+
+
+def validate(net: Network) -> list[str]:
+    """Check every structural invariant; returns the list of violations.
+
+    An empty list means the network is well formed.  Violations name the
+    layer and the rule so callers can report them directly.
+    """
+    arch = net.arch
+    out = arch_violations(arch)
     if out:
         return out
+    L = arch.depth
 
     if len(net.layers) != L + 1:
         return [f"layers: {len(net.layers)} affine stages, expected L+1 = {L + 1}"]
@@ -233,33 +241,50 @@ def validate(net: Network) -> list[str]:
 
 # -- evaluation --------------------------------------------------------------
 
-def _step_cols(Z: np.ndarray) -> np.ndarray:
-    return np.where(Z >= 0.0, 1.0, 0.0)
+def step_rows(arch: Architecture, i: int) -> int | None:
+    """How many leading rows of hidden stage ``i`` are step neurons: the
+    first ``p_{i+1}`` of a lin hidden layer before the last, every row
+    (``None``) otherwise."""
+    if arch.kind is NetworkKind.LIN and i < arch.depth - 1:
+        return arch.widths[i + 1]
+    return None
 
 
-def _forward(net: Network, cols: np.ndarray, want_trace: bool):
-    """Forward pass on column-stacked inputs ``cols`` of shape (p0, n)."""
+def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
+             filled=(), trace: list | None = None) -> np.ndarray:
+    """Affine stages ``lo..hi-1`` of ``net`` on column-stacked activations.
+
+    ``h`` is (width, n), or (labelings, width, n) when every labeling has
+    its own; ``x`` is the (input, n) matrix the skip taps read.  ``filled``
+    yields ``(stage, W, b)`` in stage order: that stage uses the
+    (labelings, out, in) weight tensor and (labelings, out) bias instead of
+    its own.  Hidden activations are appended to ``trace`` if given.
+    """
     arch = net.arch
     L = arch.depth
-    x0 = cols
-    h = cols
-    trace: list[np.ndarray] | None = [] if want_trace else None
-    for i in range(L):
+    pending = None
+    if filled:
+        filled = iter(filled)
+        pending = next(filled, None)
+    for i in range(lo, hi):
         layer = net.layers[i]
-        z = layer.W @ h
+        W, b = layer.W, layer.b
+        if pending is not None and pending[0] == i:
+            _, W, b = pending
+            pending = next(filled, None)
+        z = W @ h
         if layer.V is not None:
-            z = z + layer.V @ x0
-        z = z - np.asarray(layer.b)[:, None]
-        if arch.kind is NetworkKind.LIN and i < L - 1:
-            p = arch.widths[i + 1]
-            h = np.concatenate([_step_cols(z[:p]), z[p:]], axis=0)
-        else:
-            h = _step_cols(z)
-        if trace is not None:
-            trace.append(h)
-    out_layer = net.layers[L]
-    out = out_layer.W @ h - np.asarray(out_layer.b)[:, None]
-    return out, trace
+            z += layer.V @ x
+        z -= np.asarray(b)[..., None]
+        if i < L:
+            # step(0) = 1; the identity neurons of a lin layer stay as they are
+            p = step_rows(arch, i)
+            steps = z if p is None else z[..., :p, :]
+            np.greater_equal(steps, 0.0, out=steps)
+            if trace is not None:
+                trace.append(z)
+        h = z
+    return h
 
 
 def evaluate(net: Network, x, with_trace: bool = False):
@@ -270,14 +295,15 @@ def evaluate(net: Network, x, with_trace: bool = False):
             f"evaluate: input has dimension {x.shape[0]}, network expects {net.arch.input_dim}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("evaluate: non-finite input")
-    out, trace = _forward(net, x[:, None], with_trace)
-    y = out[:, 0]
+    cols = x[:, None]
+    trace = [] if with_trace else None
+    y = _forward(net, cols, cols, 0, net.arch.depth + 1, trace=trace)[:, 0]
     if with_trace:
         return y, ActivationTrace([h[:, 0] for h in trace])
     return y
 
 
-def evaluate_batch(net: Network, X, with_trace: bool = False, chunk: int | None = None):
+def evaluate_batch(net: Network, X, with_trace: bool = False):
     """Evaluate at many points, rows of ``X``; returns an (n, p_out) array.
 
     With ``with_trace`` the hidden activation matrices (width x n) are
@@ -296,20 +322,15 @@ def evaluate_batch(net: Network, X, with_trace: bool = False, chunk: int | None 
         raise InvalidInputError("evaluate_batch: non-finite input")
     cols = X.T
     n = cols.shape[1]
+    stages = net.arch.depth + 1
     if with_trace:
-        out, trace = _forward(net, cols, True)
-        return out.T, trace
-    if chunk is None:
-        widest = max(net.arch.augmented_widths())
-        chunk = max(1024, int(4_000_000 / max(widest, 1)))
+        trace = []
+        return _forward(net, cols, cols, 0, stages, trace=trace).T, trace
+    chunk = max(1024, int(4_000_000 / max(max(net.arch.augmented_widths()), 1)))
     if n <= chunk:
-        out, _ = _forward(net, cols, False)
-        return out.T
-    pieces = []
-    for lo in range(0, n, chunk):
-        out, _ = _forward(net, cols[:, lo:lo + chunk], False)
-        pieces.append(out.T)
-    return np.concatenate(pieces, axis=0)
+        return _forward(net, cols, cols, 0, stages).T
+    return np.concatenate([_forward(net, part, part, 0, stages).T
+                           for part in np.split(cols, range(chunk, n, chunk), axis=1)])
 
 
 # -- kind embeddings ---------------------------------------------------------
@@ -340,37 +361,36 @@ def embed(net: Network, target_kind: NetworkKind) -> Network:
         new_arch = replace(arch, kind=NetworkKind.LIN, lin_count=0)
         return Network(new_arch, net.layers)
     if arch.kind is NetworkKind.SKIP and target_kind is NetworkKind.LIN:
-        return _embed_skip_into_lin(net)
+        new_arch = Architecture(NetworkKind.LIN, arch.widths, (), arch.input_dim)
+        return Network(new_arch, carry_input(net, arch.depth - 1, 0.0))
     raise InvalidInputError(
         f"embed: unsupported direction {arch.kind.value} -> {target_kind.value}")
 
 
-def _embed_skip_into_lin(net: Network) -> Network:
-    """Skip->lin embedding: carry x through p_0 identity neurons per layer."""
-    arch = net.arch
-    L, d = arch.depth, arch.input_dim
-    new_arch = Architecture(NetworkKind.LIN, arch.widths, (), d)
-    layers: list[LayerParams] = []
+def carry_input(net: Network, last: int, bias: float) -> tuple[LayerParams, ...]:
+    """The layers of ``net`` with its d inputs carried by d extra neurons
+    appended to hidden layers 1..``last``; the skip taps become ordinary
+    weights on the carried copy, so no layer keeps a ``V``.
+
+    Stage 0 copies x into the carriers and later stages pass them along,
+    each carrier computing ``c - bias``: 0 for identity neurons, 1/2 for
+    step neurons forwarding a binary input.  Every tap must sit in stages
+    1..``last``.  A layer whose ``W`` is sparse is assembled sparse.
+    """
+    d = net.arch.input_dim
+    layers = []
     for i, layer in enumerate(net.layers):
-        W = layer.W.toarray() if sp.issparse(layer.W) else np.asarray(layer.W, dtype=float)
-        V = None
-        if layer.V is not None:
-            V = layer.V.toarray() if sp.issparse(layer.V) else np.asarray(layer.V, dtype=float)
-        b = np.asarray(layer.b, dtype=float)
+        W, V, b = layer.W, layer.V, np.asarray(layer.b, dtype=float)
         n_out, n_in = W.shape
-        in_aug = n_in + (d if 1 <= i <= L - 1 else 0)
-        out_aug = n_out + (d if 0 <= i <= L - 2 else 0)
-        Wn = np.zeros((out_aug, in_aug))
-        bn = np.zeros(out_aug)
-        Wn[:n_out, :n_in] = W
-        bn[:n_out] = b
-        if V is not None:
-            # skip taps now read the carried input at the end of the layer
-            Wn[:n_out, n_in:n_in + d] = V
-        if 0 <= i <= L - 2:
-            if i == 0:
-                Wn[n_out:, :d] = np.eye(d)       # pick up x itself
-            else:
-                Wn[n_out:, n_in:n_in + d] = np.eye(d)  # pass the carrier along
-        layers.append(LayerParams(Wn, bn, None))
-    return Network(new_arch, tuple(layers))
+        sparse = sp.issparse(W)
+        eye, zeros = (sp.identity(d), sp.csr_matrix) if sparse else (np.eye(d), np.zeros)
+        if V is None:
+            V = zeros((n_out, d))
+        elif not sparse and sp.issparse(V):
+            V = V.toarray()
+        grid = [[W, V] if 1 <= i <= last else [W]]
+        if i < last:
+            grid.append([eye] if i == 0 else [zeros((d, n_in)), eye])
+            b = np.concatenate([b, np.full(d, bias)])
+        layers.append(LayerParams(sp.bmat(grid, format="csr") if sparse else np.block(grid), b))
+    return tuple(layers)

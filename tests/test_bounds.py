@@ -10,7 +10,7 @@ def test_piece_bounds():
     assert piece_bound(Architecture(NetworkKind.PLAIN, (1, 3, 7, 7, 1))) == 4
     assert piece_bound(Architecture(NetworkKind.SKIP, (1, 2, 4, 4, 1), (1, 2))) == 18
     assert piece_bound(Architecture(NetworkKind.LIN, (1, 2, 3, 1), (), 2)) == 12
-    assert piece_bound(Architecture(NetworkKind.SKIP, (1, 1, 1, 1), (0, 0))) == 2
+    assert piece_bound(Architecture(NetworkKind.SKIP, (1, 1, 1, 1), (0,))) == 2
 
 
 def test_approx_lower_bound():
@@ -47,3 +47,18 @@ def test_bound_report_fields():
     assert rep.piece_bound == 9 * 2 * 2 * 2
     assert rep.vc_upper_bound == 38400
     assert rep.approx_lower_bound == 1 / (2 * 72)
+
+
+@pytest.mark.parametrize("arch", [
+    Architecture(NetworkKind.SKIP, (1, 2, 2, 2, 1), (-1, -1)),
+    Architecture(NetworkKind.SKIP, (1, 2, 2, 2, 1), (5, 5)),
+    Architecture(NetworkKind.LIN, (1, 2, 2, 2, 1), (), -1),
+    Architecture(NetworkKind.PLAIN, (1, 0, 0, 0, 1)),
+    Architecture(NetworkKind.PLAIN, (0, 2, 2, 2, 1)),
+    Architecture(NetworkKind.PLAIN, (1, 1)),
+])
+def test_calculators_reject_what_validate_rejects(arch):
+    for calc in (piece_bound, vc_upper_bound, bound_report,
+                 lambda a: approx_lower_bound((0.0, 1.0), a)):
+        with pytest.raises(InvalidInputError, match="invalid architecture"):
+            calc(arch)

@@ -76,6 +76,32 @@ def test_bounds_hand_value(capsys):
     assert ",38400.0," in out.splitlines()[1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "skip", "--L", "3", "--p", "2", "--s", "-1"],
+    ["--kind", "lin", "--L", "3", "--p", "2", "--s", "-1"],
+    ["--kind", "plain", "--L", "3", "--p", "0"],
+    ["--kind", "plain", "--L", "3", "--p", "2", "--d", "0"],
+    ["--kind", "skip", "--L", "3", "--p", "2", "--s", "5"],
+])
+def test_bounds_rejects_malformed_architectures(capsys, argv):
+    code = run(["bounds", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: invalid architecture: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, power", [
+    (["--kind", "lin", "--m", "1", "--n", "1", "--t", "6"], "2^16384 labelings"),
+    (["--kind", "skip", "--m", "8000", "--n", "0"], "2^16000 points"),
+])
+def test_shatter_caps_name_the_power(capsys, argv, power):
+    code = run(["shatter", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert power in captured.err and "digits" not in captured.err
+
+
 def test_shatter_certificate(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, _ = _run(capsys, "shatter", "--kind", "skip", "--m", "1", "--n", "1",

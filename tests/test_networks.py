@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from heavinet import (
@@ -16,7 +17,14 @@ from heavinet import (
     heaviside,
     validate,
 )
+from heavinet.builders import holder_approximator
+from heavinet.networks import _forward
+from heavinet.targets import TARGETS
 from netgen import random_network
+
+
+def _sparse_holder(target="x2", m=2, n=1):
+    return holder_approximator("skip", TARGETS[target].holder_config(m, n, None)).net
 
 
 def test_heaviside_fires_at_zero():
@@ -162,3 +170,30 @@ def test_scale_invariance_of_hidden_rows():
             layers[i] = LayerParams(W, b, V)
             scaled = Network(net.arch, tuple(layers))
             assert np.array_equal(base, evaluate_batch(scaled, X))
+
+
+def test_stage_ranges_compose_to_the_whole_pass():
+    # stages 0..k then k..L+1 give the whole pass and its trace bit for bit
+    rng = np.random.default_rng(6)
+    nets = [random_network(kind, rng) for kind in NetworkKind for _ in range(10)]
+    nets.append(_sparse_holder())
+    for net in nets:
+        X = rng.uniform(0, 1, (40, net.arch.input_dim))
+        out, trace = evaluate_batch(net, X, with_trace=True)
+        cols = X.T
+        for k in range(net.arch.depth + 2):
+            parts: list = []
+            head = _forward(net, cols, cols, 0, k, trace=parts)
+            tail = _forward(net, head, cols, k, net.arch.depth + 1, trace=parts)
+            assert tail.T.tobytes() == out.tobytes()
+            assert [h.tobytes() for h in parts] == [h.tobytes() for h in trace]
+
+
+@pytest.mark.parametrize("target, m, n", [("x2", 2, 1), ("x3mx", 2, 2)])
+def test_sparse_skip_network_embeds_sparse(target, m, n):
+    net = _sparse_holder(target, m, n)
+    lifted = embed(net, NetworkKind.LIN)
+    assert validate(lifted) == []
+    assert all(sp.issparse(layer.W) and layer.V is None for layer in lifted.layers)
+    X = np.linspace(0, 1, 20001)[:, None]
+    assert evaluate_batch(lifted, X).tobytes() == evaluate_batch(net, X).tobytes()
