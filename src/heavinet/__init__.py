@@ -1,7 +1,13 @@
 """Deep step-activation networks with explicit weights: constructions,
 exact piece analysis, shattering certificates, and bound calculators."""
 
-from .errors import InvalidInputError, ParseError, PrecisionError, ResourceLimitError
+from .errors import (
+    InvalidInputError,
+    InvalidNetworkError,
+    ParseError,
+    PrecisionError,
+    ResourceLimitError,
+)
 from .networks import (
     ActivationTrace,
     Architecture,
@@ -17,7 +23,8 @@ from .networks import (
 from .radix import DigitVector, binary_digits, mixed_radix_digits
 
 __all__ = [
-    "InvalidInputError", "ParseError", "PrecisionError", "ResourceLimitError",
+    "InvalidInputError", "InvalidNetworkError", "ParseError", "PrecisionError",
+    "ResourceLimitError",
     "NetworkKind", "Architecture", "LayerParams", "Network", "ActivationTrace",
     "heaviside", "validate", "evaluate", "evaluate_batch", "embed",
     "DigitVector", "mixed_radix_digits", "binary_digits",

@@ -19,25 +19,25 @@ def _check(arch: Architecture) -> None:
         raise InvalidInputError(f"invalid {violations[0]}")
 
 
-def piece_bound(arch: Architecture) -> int:
-    """Most pieces any segment restriction of this architecture can have.
-
-    plain: p_1 + 1; skip: (p_1 + 1) prod_l (s_l + 1); lin: prod_l (p_l + 1)
-    over the step widths.
-    """
-    _check(arch)
+def _layer_ceilings(arch: Architecture) -> list[int]:
+    """Most regions a segment restriction can have after each hidden layer
+    l = 1..L of a valid architecture: plain p_1 + 1; skip (p_1 + 1)
+    prod_{2<=k<=l} (s_k + 1); lin prod_{k<=l} (p_k + 1) over the step widths.
+    A plain network is a skip network without taps."""
     hidden = arch.hidden_widths
-    if arch.kind is NetworkKind.PLAIN:
-        return hidden[0] + 1
-    if arch.kind is NetworkKind.SKIP:
-        total = hidden[0] + 1
-        for s in arch.skip_counts:
-            total *= s + 1
-        return total
-    total = 1
-    for p in hidden:
-        total *= p + 1
-    return total
+    if arch.kind is NetworkKind.LIN:
+        factors = [p + 1 for p in hidden]
+    else:
+        taps = arch.skip_counts if arch.kind is NetworkKind.SKIP else (0,) * (arch.depth - 1)
+        factors = [hidden[0] + 1, *(s + 1 for s in taps)]
+    return [math.prod(factors[:k]) for k in range(1, len(factors) + 1)]
+
+
+def piece_bound(arch: Architecture) -> int:
+    """Most pieces any segment restriction of this architecture can have:
+    the ceiling after its last hidden layer (see ``_layer_ceilings``)."""
+    _check(arch)
+    return _layer_ceilings(arch)[-1]
 
 
 def approx_lower_bound(value_range: tuple[float, float], arch: Architecture) -> float:

@@ -104,10 +104,10 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     ``ResourceLimitError`` names the power, ``2^points``, never its digits.
 
     The labeling reaches the network only through a few decoder weights
-    (a bias for the one-point geometry), so the network is built,
-    validated and checked against the depth and width budgets once, with
-    every label 0.  Labelings are then checked in chunks: each chunk fills
-    those entries for all of its labelings and runs one tensor pass over
+    (a bias for the one-point geometry), so the network is built (which
+    validates it) and checked against the depth and width budgets once,
+    with every label 0.  Labelings are then checked in chunks: each chunk
+    fills those entries for all of its labelings and runs one tensor pass over
     labelings x width x points through ``networks._forward``, the stage
     loop of every forward pass, starting from the digit-extractor prefix
     computed once for all of them.  A chunk holds at most

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..networks import Network, NetworkKind, evaluate_batch, step_rows, validate
+from ..networks import Network, NetworkKind, evaluate_batch, step_rows
+from .bounds import _layer_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
 
@@ -128,14 +129,14 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
     ``split(A_step, S_step, bounds)`` gets the step pre-activations (rows)
     on each region (columns) and returns refined boundaries plus one
     parameter t per new region, where its parent's state is read.  After
-    layer l the region count may not exceed plain p_1+1, skip
-    (p_1+1) prod_{2<=k<=l} (s_k+1), lin prod_{k<=l} (p_k+1).
+    each layer the region count may not exceed the paper's layer-wise
+    ceiling, ``bounds._layer_ceilings``.
     """
     arch = net.arch
     dx = x2 - x1
     B = np.zeros((0, 1))
     U = Vl = None
-    ceiling = 1
+    ceilings = _layer_ceilings(arch)
     for i in range(arch.depth):
         A, S = _layer_affine(net, i, B, U, Vl, x1, dx, len(bounds) - 1)
         A_step, S_step, A_lin, S_lin = _split_step_lin(net, i, A, S)
@@ -147,13 +148,9 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
         else:
             U = Vl = None
         bounds = new
-        if i == 0 or arch.kind is NetworkKind.LIN:
-            ceiling *= arch.widths[i + 1] + 1
-        elif arch.kind is NetworkKind.SKIP:
-            ceiling *= arch.skip_counts[i - 1] + 1
-        if len(bounds) - 1 > ceiling:
+        if len(bounds) - 1 > ceilings[i]:
             raise AssertionError(
-                f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceiling}")
+                f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceilings[i]}")
     return bounds, B
 
 
@@ -192,11 +189,8 @@ def _same_value(pat: np.ndarray, out: np.ndarray, i, j):
     return (pat[:, i] == pat[:, j]).all(axis=0) | (out[i] == out[j]).all(axis=-1)
 
 
-def _segment(net: Network, x1, x2, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validated network and endpoints as flat float vectors."""
-    violations = validate(net)
-    if violations:
-        raise InvalidInputError(f"{caller}: invalid network: {violations[0]}")
+def _segment(net: Network, x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Segment endpoints as flat float vectors of the network's input dimension."""
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     x2 = np.asarray(x2, dtype=float).reshape(-1)
     if x1.shape != x2.shape or x1.shape[0] != net.arch.input_dim:
@@ -206,7 +200,7 @@ def _segment(net: Network, x1, x2, caller: str) -> tuple[np.ndarray, np.ndarray]
 
 def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
     """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
-    x1, x2 = _segment(net, x1, x2, "exact_pieces")
+    x1, x2 = _segment(net, x1, x2)
     if np.array_equal(x1, x2):
         v = evaluate_batch(net, x1[None, :])[0]
         return SegmentPartition(x1, x2, np.array([]), np.array([], dtype=int), v[None, :])
@@ -322,7 +316,7 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
         raise InvalidInputError("sampled_pieces needs N >= 2")
     if not refine_tol > 0:
         raise InvalidInputError(f"sampled_pieces needs refine_tol > 0, got {refine_tol}")
-    x1, x2 = _segment(net, x1, x2, "sampled_pieces")
+    x1, x2 = _segment(net, x1, x2)
 
     def flip_split(A: np.ndarray, S: np.ndarray, starts: np.ndarray):
         # runs of grid indices k = 0..N, split where a step state flips

@@ -39,7 +39,7 @@ def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]
     return [base.copy() for _ in range(d)]
 
 
-def sup_error(net: Network, f0, d: int | None = None, per_axis: int | None = None,
+def sup_error(net: Network, f0, per_axis: int | None = None,
               extra=(), axes: list[np.ndarray] | None = None) -> SupErrorResult:
     """Max |net - f0| over a tensor grid of the unit cube.
 
@@ -47,10 +47,7 @@ def sup_error(net: Network, f0, d: int | None = None, per_axis: int | None = Non
     declared breakpoints into every axis.  Ties in the maximum resolve to
     the lowest grid index; the grid is enumerated last-axis-fastest.
     """
-    if d is None:
-        d = net.arch.input_dim
-    if d != net.arch.input_dim:
-        raise InvalidInputError(f"domain dim {d} does not match the network input")
+    d = net.arch.input_dim
     if axes is None:
         axes = axis_grid(d, per_axis, extra)
     if len(axes) != d or any(len(a) == 0 for a in axes):

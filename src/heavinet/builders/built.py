@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import InvalidInputError
-from ..networks import Network, validate
+from ..errors import InvalidNetworkError
+from ..networks import Network
 
 __all__ = ["Guarantee", "Construction", "BuiltNetwork"]
 
@@ -29,7 +29,9 @@ class BuiltNetwork:
     """A network with its guarantee and a probe map locating semantic neurons.
 
     Probe positions are ``(hidden layer, neuron index)`` with layers numbered
-    1..L and neurons 0-based within the layer's activation vector.
+    1..L and neurons 0-based within the layer's activation vector.  The
+    network validated itself when it was made; construction checks that
+    every probe lies inside it.
     """
 
     net: Network
@@ -37,14 +39,18 @@ class BuiltNetwork:
     probes: dict[str, tuple[int, int]]
     construction: Construction
 
+    def __post_init__(self):
+        self.check()
+
     def check(self) -> None:
-        violations = validate(self.net)
-        if violations:
-            raise InvalidInputError(f"built network is invalid: {violations[0]}")
-        ws = self.net.arch.augmented_widths()
-        for label, (layer, idx) in self.probes.items():
-            if not (1 <= layer <= self.net.arch.depth and 0 <= idx < ws[layer]):
-                raise InvalidInputError(f"probe {label!r} points outside the network")
+        """Raise ``InvalidNetworkError`` naming every probe outside the network."""
+        L, ws = self.net.arch.depth, self.net.arch.augmented_widths()
+        outside = [f"probe {label!r}: ({layer}, {idx}) outside hidden layers 1..{L} "
+                   f"of widths {ws[1:-1]}"
+                   for label, (layer, idx) in self.probes.items()
+                   if not (1 <= layer <= L and 0 <= idx < ws[layer])]
+        if outside:
+            raise InvalidNetworkError(outside)
 
     def read_probes(self, trace) -> dict[str, float]:
         """Read every probe out of an activation trace for one input."""

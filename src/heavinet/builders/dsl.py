@@ -5,7 +5,9 @@ its weights on previous-layer neurons (by handle), optional taps on the raw
 input (skip rows), a bias, and its activation (step or identity).  ``build``
 packs everything into weight matrices — dense by default, COO-assembled
 sparse for the big constructions — pads identity neurons to a uniform
-per-layer count for the lin kind, and returns a validated ``Network``.
+per-layer count for the lin kind, and returns the ``Network``, which
+validates itself when made: a builder that breaks a rule of its class gets
+``InvalidNetworkError``.
 
 Handles are opaque integers; referencing a handle outside the immediately
 preceding layer is an assembly error.
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import InvalidInputError
-from ..networks import Architecture, LayerParams, Network, NetworkKind, validate
+from ..networks import Architecture, LayerParams, Network, NetworkKind
 
 __all__ = ["NetBuilder"]
 
@@ -191,9 +193,6 @@ class NetBuilder:
         else:
             arch = Architecture(NetworkKind.PLAIN, widths, (), 0)
         net = Network(arch, tuple(layer_params))
-        violations = validate(net)
-        if violations:
-            raise InvalidInputError(f"builder produced an invalid network: {violations[0]}")
         probes = {label: (self._by_handle[h].layer + 1, self._by_handle[h].slot)
                   for label, h in self.probes.items()}
         return net, probes

@@ -49,33 +49,15 @@ def shatter_points(kind: str, m: int, n: int, t: int = 0) -> np.ndarray:
     return i / count - 1.0 / (2 * count)
 
 
-def _point_cells(geom: CellGeometry) -> np.ndarray:
-    """Flat payload index of the cell holding each canonical point.
-
-    Point i (counting from 0) sits in the cell whose digits are i written
-    big-endian; each digit group is read off them as ``index_of_bits`` does.
-    With one coordinate the groups are consecutive levels in (j, k, r)
-    order, so this is the identity."""
-    levels = geom.levels
-    digits = (np.arange(2 ** levels)[:, None] >> np.arange(levels - 1, -1, -1)) & 1
-    flat = np.zeros(2 ** levels, dtype=np.int64)
-    for group, size in zip(geom.group_levels(), geom.sizes):
-        index = np.zeros(2 ** levels, dtype=np.int64)
-        for ell in group:
-            index = 2 * index + digits[:, ell - 1]
-        flat = flat * size + index
-    return flat
-
-
 def labels_to_table(geom: CellGeometry, labeling) -> BitTable:
-    """Store point labels in decoder-table order: point i sits in the cell
-    whose digit prefix is i-1 written big-endian."""
+    """Store point labels in decoder-table order.  Point i sits in the cell
+    whose digits are i written big-endian, and with one coordinate the
+    digit groups are consecutive levels in (j, k, r) order, so the payload
+    order is the point order."""
     labeling = np.asarray(labeling, dtype=int).reshape(-1)
     if labeling.size != 2 ** geom.levels:
         raise InvalidInputError(f"labeling needs {2 ** geom.levels} entries")
-    payload = np.zeros(geom.sizes, dtype=int)
-    payload.reshape(-1)[_point_cells(geom)] = labeling
-    return BitTable(geom, payload)
+    return BitTable(geom, labeling.reshape(geom.sizes))
 
 
 def shatter_budgets(kind: str, m: int, n: int, t: int = 0) -> dict[str, int]:
@@ -155,13 +137,13 @@ class ShatterTemplate:
 
     Entry e sits at ``(stage[e], row[e], col[e])`` of the stage's weight
     matrix, or of its bias vector when ``col[e]`` is -1.  Its value is the
-    sum of ``site_coef * payload[site_cell]`` over the sites
-    ``starts[e]:starts[e+1]``.
+    sum of ``site_coef * label[site_cell]`` over the sites
+    ``starts[e]:starts[e+1]``; the payload order is the point order, so a
+    flat payload index is a point index.
     """
 
     net: Network
     points: np.ndarray
-    cells: np.ndarray  # flat payload index of the cell holding each point
     stage: np.ndarray
     row: np.ndarray
     col: np.ndarray
@@ -178,10 +160,8 @@ class ShatterTemplate:
         literal ``shattering_net`` build of each labeling: every sum is of
         distinct powers of two, hence exact.
         """
-        labelings = np.asarray(labelings)
-        payload = np.empty(labelings.shape)
-        payload[:, self.cells] = labelings
-        vals = np.add.reduceat(payload[:, self.site_cell] * self.site_coef, self.starts, axis=1)
+        labelings = np.asarray(labelings, dtype=float)
+        vals = np.add.reduceat(labelings[:, self.site_cell] * self.site_coef, self.starts, axis=1)
         for stage in np.unique(self.stage).tolist():
             layer = self.net.layers[stage]
             W = np.repeat(np.asarray(layer.W)[None], len(labelings), axis=0)
@@ -206,6 +186,5 @@ def shatter_template(kind: str, m: int, n: int, t: int = 0) -> ShatterTemplate:
     new_entry = np.ones(len(order), dtype=bool)
     new_entry[1:] = (np.diff(stage) != 0) | (np.diff(row) != 0) | (np.diff(col) != 0)
     starts = np.flatnonzero(new_entry)
-    cells = np.zeros(1, dtype=np.int64) if geom is None else _point_cells(geom)
-    return ShatterTemplate(net, points, cells, stage[starts], row[starts], col[starts],
+    return ShatterTemplate(net, points, stage[starts], row[starts], col[starts],
                            starts, cell, coef)

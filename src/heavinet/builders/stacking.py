@@ -16,7 +16,7 @@ constructions in this package assemble their compositions directly.
 from __future__ import annotations
 
 from ..errors import InvalidInputError
-from ..networks import Architecture, Network, NetworkKind, carry_input, mat_nonzero_rows, validate
+from ..networks import Architecture, Network, NetworkKind, carry_input, mat_nonzero_rows
 from .built import BuiltNetwork, Construction
 
 __all__ = ["stack_on_hidden"]
@@ -27,8 +27,6 @@ def stack_on_hidden(front: BuiltNetwork, back: BuiltNetwork) -> BuiltNetwork:
     fnet, bnet = front.net, back.net
     if fnet.arch.kind is NetworkKind.LIN or bnet.arch.kind is NetworkKind.LIN:
         raise InvalidInputError("stack_on_hidden composes plain/skip networks only")
-    if bnet.arch.depth < 1:
-        raise InvalidInputError("back network has no hidden layer to stack")
     hidden_width = fnet.arch.widths[-2]
     if bnet.arch.input_dim != hidden_width:
         raise InvalidInputError(
@@ -51,9 +49,6 @@ def stack_on_hidden(front: BuiltNetwork, back: BuiltNetwork) -> BuiltNetwork:
         arch = Architecture(NetworkKind.PLAIN, widths)
     layers = fnet.layers[:-1] + bnet.layers
     net = Network(arch, tuple(layers))
-    violations = validate(net)
-    if violations:
-        raise InvalidInputError(f"stacked network is invalid: {violations[0]}")
     probes = {f"front.{k}": v for k, v in front.probes.items()}
     probes.update({f"back.{k}": (layer + Lf, idx) for k, (layer, idx) in back.probes.items()})
     return BuiltNetwork(net, None, probes,

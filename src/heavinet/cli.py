@@ -13,10 +13,11 @@ Subcommands::
 Networks and certificates travel as the JSON document format; sweeps and
 eval output are comma-separated with a header row, numbers in full
 round-trip precision.  Exit codes: 0 success, 1 verification failure (a
-violated bound, a failed certificate, an invalid network), 2 usage or IO
-errors.  Repeated runs with identical inputs and flags produce
-byte-identical outputs; the only randomized input (decoder payloads) takes
-an explicit seed.
+violated bound, a failed certificate, a document of an invalid network,
+whose violations go to stdout one per line), 2 usage or IO errors,
+malformed documents included.  Repeated runs with identical inputs and
+flags produce byte-identical outputs; the only randomized input (decoder
+payloads) takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -35,8 +36,14 @@ from .analysis import (
     sup_error,
 )
 from .builders import BitTable, CellGeometry
-from .errors import InvalidInputError, ParseError, PrecisionError, ResourceLimitError
-from .networks import NetworkKind, evaluate_batch, validate
+from .errors import (
+    InvalidInputError,
+    InvalidNetworkError,
+    ParseError,
+    PrecisionError,
+    ResourceLimitError,
+)
+from .networks import NetworkKind, evaluate_batch
 from .serialize import from_document, to_document
 from .targets import TARGETS
 
@@ -241,12 +248,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    net = _load_net(args.net)
-    violations = validate(net)
-    if violations:
-        for v in violations:
-            print(v)
-        return VERIFY_ERROR
+    _load_net(args.net)  # an invalid network raises InvalidNetworkError
     print("ok")
     return 0
 
@@ -374,6 +376,9 @@ def run(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except InvalidNetworkError as exc:
+        print("\n".join(exc.violations))
+        return VERIFY_ERROR
     except (InvalidInputError, PrecisionError, ResourceLimitError, ParseError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,15 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
 
 
+class InvalidNetworkError(InvalidInputError):
+    """A network breaks a rule of its class; ``violations`` lists every
+    broken rule, one message each, as ``networks.validate`` states them."""
+
+    def __init__(self, violations: list[str]):
+        self.violations = list(violations)
+        super().__init__("invalid network: " + "; ".join(self.violations))
+
+
 class PrecisionError(InvalidInputError):
     """A construction would need more bits than a float64 significand holds."""
 

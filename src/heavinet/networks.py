@@ -19,9 +19,14 @@ package relies on that boundary convention.
 
 Weight matrices may be dense ``numpy`` arrays or ``scipy.sparse`` matrices;
 the large emitted constructions use sparse storage, everything else is
-dense.  Networks are immutable after construction by convention: no code in
-this package writes to a layer array after ``validate`` has seen it, so
-concurrent reads are safe.
+dense.
+
+A ``Network`` is valid for its whole life.  Constructing one runs
+``validate``, the one statement of the rules of each class, and raises
+``InvalidNetworkError`` with every violation; no other code checks them
+again.  That holds because no code in this package writes to a layer array
+after the network holding it is made, which also makes concurrent reads
+safe.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvalidNetworkError
 
 __all__ = [
     "NetworkKind",
@@ -120,10 +125,18 @@ class LayerParams:
     V: object | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
+    """An architecture and its L+1 affine stages; construction raises
+    ``InvalidNetworkError`` unless ``validate`` finds nothing."""
+
     arch: Architecture
     layers: tuple[LayerParams, ...]
+
+    def __post_init__(self):
+        violations = validate(self)
+        if violations:
+            raise InvalidNetworkError(violations)
 
 
 @dataclass
@@ -198,7 +211,8 @@ def validate(net: Network) -> list[str]:
     """Check every structural invariant; returns the list of violations.
 
     An empty list means the network is well formed.  Violations name the
-    layer and the rule so callers can report them directly.
+    layer and the rule so callers can report them directly.  Every
+    ``Network`` runs this once, when it is made.
     """
     arch = net.arch
     out = arch_violations(arch)
@@ -338,7 +352,7 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
 def embed(net: Network, target_kind: NetworkKind) -> Network:
     """Re-express a network in a richer kind without changing its function.
 
-    Supported directions: plain->skip (zero skip matrices), plain->lin
+    Supported directions: plain->skip (no skip taps), plain->lin
     (zero added linear neurons), skip->lin (p_0 identity-activation neurons
     carry the input across the layers), and any kind to itself.  The result
     evaluates bit-for-bit identically to the input on every point.
@@ -347,16 +361,8 @@ def embed(net: Network, target_kind: NetworkKind) -> Network:
     if target_kind is arch.kind:
         return net
     if arch.kind is NetworkKind.PLAIN and target_kind is NetworkKind.SKIP:
-        new_arch = replace(arch, kind=NetworkKind.SKIP,
-                           skip_counts=tuple(0 for _ in range(arch.depth - 1)))
-        layers = []
-        for i, layer in enumerate(net.layers):
-            if 1 <= i <= arch.depth - 1:
-                V = np.zeros((np.asarray(layer.b).shape[0], arch.input_dim))
-                layers.append(LayerParams(layer.W, layer.b, V))
-            else:
-                layers.append(LayerParams(layer.W, layer.b, None))
-        return Network(new_arch, tuple(layers))
+        new_arch = replace(arch, kind=NetworkKind.SKIP, skip_counts=(0,) * (arch.depth - 1))
+        return Network(new_arch, net.layers)
     if arch.kind is NetworkKind.PLAIN and target_kind is NetworkKind.LIN:
         new_arch = replace(arch, kind=NetworkKind.LIN, lin_count=0)
         return Network(new_arch, net.layers)

@@ -10,6 +10,14 @@ block with the guarantee, the probe map, and the construction record.
 Matrices are written dense, so a document holds every parameter of the
 dense-equivalent architecture; networks with more than
 ``MAX_DOCUMENT_PARAMS`` of them are refused before anything is densified.
+
+Reading checks only the format: the kind tag, integer lists, rows of
+equal length holding numbers, and the types of the meta block.  A
+``ParseError`` means the text is not a network document.  The rules of the
+network classes, shapes, budgets, finite parameters and probe positions
+included, are judged by constructing the ``Network`` and ``BuiltNetwork``,
+so a well-formed document of an invalid network raises
+``InvalidNetworkError`` with every violation.
 """
 
 from __future__ import annotations
@@ -20,14 +28,7 @@ import numpy as np
 
 from .builders.built import BuiltNetwork, Construction, Guarantee
 from .errors import ParseError, ResourceLimitError
-from .networks import (
-    Architecture,
-    LayerParams,
-    Network,
-    NetworkKind,
-    mat_to_rows,
-    validate,
-)
+from .networks import Architecture, LayerParams, Network, NetworkKind, mat_to_rows
 
 __all__ = ["to_document", "from_document"]
 
@@ -82,9 +83,6 @@ def to_document(net: Network | BuiltNetwork) -> str:
         doc["meta"] = meta
     else:
         doc = _network_payload(net)
-    violations = validate(net.net if isinstance(net, BuiltNetwork) else net)
-    if violations:
-        raise ParseError("$", f"refusing to serialize an invalid network: {violations[0]}")
     return json.dumps(doc, indent=1)
 
 
@@ -93,22 +91,33 @@ def _expect(cond: bool, path: str, msg: str):
         raise ParseError(path, msg)
 
 
-def _matrix(obj, path: str, shape: tuple[int, int]) -> np.ndarray:
-    _expect(isinstance(obj, list) and len(obj) == shape[0], path,
-            f"expected {shape[0]} rows")
-    rows = []
+_NUMBER_TYPES = {int, float}  # JSON numbers; bool is a type of its own
+
+
+def _ints(obj) -> bool:
+    return isinstance(obj, list) and all(type(v) is int for v in obj)
+
+
+def _numbers(obj) -> bool:
+    return isinstance(obj, list) and set(map(type, obj)) <= _NUMBER_TYPES
+
+
+def _matrix(obj, path: str) -> np.ndarray:
+    """A list of equally long rows of numbers, as a 2-D float array."""
+    _expect(isinstance(obj, list) and all(isinstance(row, list) for row in obj), path,
+            "expected a list of rows")
+    cols = len(obj[0]) if obj else 0
     for r, row in enumerate(obj):
-        _expect(isinstance(row, list) and len(row) == shape[1], f"{path}[{r}]",
-                f"expected {shape[1]} columns")
-        _expect(all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    and np.isfinite(v) for v in row),
-                f"{path}[{r}]", "expected finite decimal numbers")
-        rows.append([float(v) for v in row])
-    return np.array(rows, dtype=float).reshape(shape)
+        _expect(len(row) == cols and _numbers(row), f"{path}[{r}]", f"expected {cols} numbers")
+    return np.array(obj, dtype=float).reshape(len(obj), cols)
 
 
 def from_document(text: str) -> Network | BuiltNetwork:
-    """Parse a network document; returns a BuiltNetwork when meta is present."""
+    """Parse a network document; returns a BuiltNetwork when meta is present.
+
+    Raises ``ParseError`` on text that is not a network document, and
+    ``InvalidNetworkError`` on a document of an invalid network.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -119,73 +128,51 @@ def from_document(text: str) -> Network | BuiltNetwork:
     kind = _KIND_TAGS[kind_tag]
 
     widths = doc.get("widths")
-    _expect(isinstance(widths, list) and len(widths) >= 3
-            and all(isinstance(w, int) and w >= 1 for w in widths),
-            "$.widths", "expected a list of at least 3 positive integers")
-    widths = tuple(widths)
+    _expect(_ints(widths), "$.widths", "expected a list of integers")
     depth = doc.get("depth")
     _expect(depth == len(widths) - 2, "$.depth", f"depth {depth!r} inconsistent with widths")
-
-    skip_counts: tuple[int, ...] = ()
+    skip_counts: list[int] = []
     lin_count = 0
     if kind is NetworkKind.SKIP:
-        raw = doc.get("skip_counts")
-        _expect(isinstance(raw, list) and len(raw) == depth - 1
-                and all(isinstance(s, int) and s >= 0 for s in raw),
-                "$.skip_counts", f"expected {depth - 1} non-negative integers")
-        skip_counts = tuple(raw)
+        skip_counts = doc.get("skip_counts")
+        _expect(_ints(skip_counts), "$.skip_counts", "expected a list of integers")
     if kind is NetworkKind.LIN:
-        raw = doc.get("lin_count")
-        _expect(isinstance(raw, int) and raw >= 0, "$.lin_count",
-                "expected a non-negative integer")
-        lin_count = raw
+        lin_count = doc.get("lin_count")
+        _expect(type(lin_count) is int, "$.lin_count", "expected an integer")
+    arch = Architecture(kind, tuple(widths), tuple(skip_counts), lin_count)
 
-    arch = Architecture(kind, widths, skip_counts, lin_count)
-    ws = arch.augmented_widths()
     raw_layers = doc.get("layers")
-    _expect(isinstance(raw_layers, list) and len(raw_layers) == depth + 1,
-            "$.layers", f"expected {depth + 1} layers")
+    _expect(isinstance(raw_layers, list), "$.layers", "expected a list of layers")
     layers = []
     for i, entry in enumerate(raw_layers):
         path = f"$.layers[{i}]"
         _expect(isinstance(entry, dict), path, "expected an object")
-        W = _matrix(entry.get("W"), f"{path}.W", (ws[i + 1], ws[i]))
-        braw = entry.get("b")
-        _expect(isinstance(braw, list) and len(braw) == ws[i + 1]
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in braw),
-                f"{path}.b", f"expected {ws[i + 1]} numbers")
-        b = np.array([float(v) for v in braw])
-        V = None
-        if "V" in entry:
-            _expect(kind is NetworkKind.SKIP, f"{path}.V", "V only allowed on skip networks")
-            V = _matrix(entry["V"], f"{path}.V", (ws[i + 1], arch.input_dim))
+        W = _matrix(entry.get("W"), f"{path}.W")
+        _expect(_numbers(entry.get("b")), f"{path}.b", "expected a list of numbers")
+        b = np.array(entry["b"], dtype=float)
+        V = _matrix(entry["V"], f"{path}.V") if "V" in entry else None
         layers.append(LayerParams(W, b, V))
-    # schema checks end here; semantic invariants (skip budgets etc.) are
-    # the job of validate(), which callers run on the loaded network
-    net = Network(arch, tuple(layers))
 
     if "meta" not in doc:
-        return net
+        return Network(arch, tuple(layers))
     meta = doc["meta"]
     _expect(isinstance(meta, dict), "$.meta", "expected an object")
     cons = meta.get("construction", {})
-    _expect(isinstance(cons, dict) and isinstance(cons.get("name"), str),
+    _expect(isinstance(cons, dict) and isinstance(cons.get("name"), str)
+            and isinstance(cons.get("parameters", {}), dict),
             "$.meta.construction", "expected {name, parameters}")
     guarantee = None
     if meta.get("guarantee") is not None:
         g = meta["guarantee"]
-        _expect(isinstance(g, dict) and isinstance(g.get("sup_error_bound"), (int, float)),
+        _expect(isinstance(g, dict) and type(g.get("sup_error_bound")) in _NUMBER_TYPES
+                and type(g.get("domain_dim", 1)) is int,
                 "$.meta.guarantee", "expected {sup_error_bound, domain_dim}")
-        guarantee = Guarantee(float(g["sup_error_bound"]), int(g.get("domain_dim", 1)))
-    probes = {}
-    for label, pos in meta.get("probes", {}).items():
-        _expect(isinstance(pos, list) and len(pos) == 2, f"$.meta.probes[{label!r}]",
+        guarantee = Guarantee(float(g["sup_error_bound"]), g.get("domain_dim", 1))
+    probes = meta.get("probes", {})
+    _expect(isinstance(probes, dict), "$.meta.probes", "expected an object")
+    for label, pos in probes.items():
+        _expect(_ints(pos) and len(pos) == 2, f"$.meta.probes[{label!r}]",
                 "expected [layer, index]")
-        layer, idx = int(pos[0]), int(pos[1])
-        _expect(1 <= layer <= depth, f"$.meta.probes[{label!r}]",
-                f"layer {layer} outside 1..{depth}")
-        _expect(0 <= idx < ws[layer], f"$.meta.probes[{label!r}]",
-                f"neuron {idx} outside layer {layer} of width {ws[layer]}")
-        probes[label] = (layer, idx)
-    return BuiltNetwork(net=net, guarantee=guarantee, probes=probes,
-                        construction=Construction(cons["name"], dict(cons.get("parameters", {}))))
+    return BuiltNetwork(Network(arch, tuple(layers)), guarantee,
+                        {label: tuple(pos) for label, pos in probes.items()},
+                        Construction(cons["name"], dict(cons.get("parameters", {}))))

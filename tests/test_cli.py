@@ -151,6 +151,70 @@ def test_verification_failure_exit(tmp_path, capsys):
     assert code == 1 and "skip budget exceeded" in out
 
 
+def _nan(rows, i, j=None):
+    if j is None:
+        rows[i] = float("nan")
+    else:
+        rows[i][j] = float("nan")
+
+
+# a build square --L 3 --p1 1 --skips 1,0 document (widths 1, 1, 2, 3, 1)
+# broken five ways: each describes an invalid network
+INVALID_NETWORKS = {
+    "skip budget": (lambda doc: doc.update(skip_counts=[3, 0]),
+                    "architecture: skip budget s_2=3 outside [0, p_2=2]"),
+    "nan bias": (lambda doc: _nan(doc["layers"][1]["b"], 0), "layer 1: non-finite parameter"),
+    "nan weight": (lambda doc: _nan(doc["layers"][2]["W"], 0, 0),
+                   "layer 2: non-finite parameter"),
+    "wide W": (lambda doc: [row.append(0.0) for row in doc["layers"][2]["W"]],
+               "layer 2: W shape (3, 3), expected (3, 2)"),
+    "probe": (lambda doc: doc["meta"]["probes"].update({"d1>=1": [2, 2]}), "probe 'd1>=1'"),
+}
+
+
+def _square_doc(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    _run(capsys, "build", "square", "--L", "3", "--p1", "1", "--skips", "1,0", "-o", str(net))
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.25\n0.75\n")
+    commands = (["validate", str(net)], ["eval", str(net), "--points", str(pts)],
+                ["pieces", str(net), "--from", "0", "--to", "1"])
+    return net, json.loads(net.read_text()), commands
+
+
+@pytest.mark.parametrize("case", INVALID_NETWORKS)
+def test_document_of_an_invalid_network_exits_1_with_its_violations(tmp_path, capsys, case):
+    net, doc, commands = _square_doc(tmp_path, capsys)
+    breaks, violation = INVALID_NETWORKS[case]
+    breaks(doc)
+    net.write_text(json.dumps(doc))
+    said = []
+    for argv in commands:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, ""), argv
+        said.append(out)
+    # the violations alone, the same for every command: no table, no partition
+    assert said[0] == said[1] == said[2]
+    assert any(line.startswith(violation) for line in said[0].splitlines())
+
+
+@pytest.mark.parametrize("case", ["ragged row", "boolean entry", "truncated"])
+def test_malformed_document_exits_2(tmp_path, capsys, case):
+    net, doc, commands = _square_doc(tmp_path, capsys)
+    if case == "ragged row":
+        doc["layers"][2]["W"][1].append(0.0)
+    elif case == "boolean entry":
+        doc["layers"][2]["W"][0][0] = True
+    text = json.dumps(doc)
+    net.write_text(text[: len(text) // 2] if case == "truncated" else text)
+    for argv in commands:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: $"), err
+
+
 def test_round_trip_reload_evaluates_identically(tmp_path, capsys):
     from heavinet.networks import evaluate_batch
     from heavinet.serialize import from_document

@@ -181,19 +181,6 @@ def test_stack_error_cases():
         stack_on_hidden(front, binary_bit_extractor_lin(2))
 
 
-def test_stack_rejects_hidden_less_back():
-    import heavinet.builders.built as built_mod
-    from heavinet import Architecture, LayerParams, Network, NetworkKind
-
-    front = parity_network(1)
-    degenerate = Network(Architecture(NetworkKind.PLAIN, (1, 1)),
-                         (LayerParams(np.eye(1), np.zeros(1)),))
-    back = built_mod.BuiltNetwork(degenerate, None, {},
-                                  built_mod.Construction("affine-only", {}))
-    with pytest.raises(InvalidInputError):
-        stack_on_hidden(front, back)
-
-
 def test_stack_pass_through_identity():
     # two single-layer forwarders compose into a two-layer forwarder whose
     # probes land where the handles say

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from heavinet import (
     Architecture,
     InvalidInputError,
+    InvalidNetworkError,
     LayerParams,
     Network,
     NetworkKind,
@@ -70,8 +71,9 @@ def test_validate_reports_shape_mismatch():
     arch = Architecture(NetworkKind.PLAIN, (1, 2, 1))
     layers = (LayerParams(np.zeros((2, 1)), np.zeros(2)),
               LayerParams(np.zeros((1, 3)), np.zeros(1)))  # W shape wrong
-    out = validate(Network(arch, layers))
-    assert any("layer 1" in v and "W shape" in v for v in out)
+    with pytest.raises(InvalidNetworkError) as err:
+        Network(arch, layers)
+    assert any("layer 1" in v and "W shape" in v for v in err.value.violations)
 
 
 def test_validate_reports_skip_budget():
@@ -80,8 +82,15 @@ def test_validate_reports_skip_budget():
     layers = (LayerParams(np.zeros((2, 1)), np.zeros(2)),
               LayerParams(np.zeros((2, 2)), np.zeros(2), V),
               LayerParams(np.zeros((1, 2)), np.zeros(1)))
-    out = validate(Network(arch, layers))
-    assert any("skip budget exceeded at layer 2" in v for v in out)
+    with pytest.raises(InvalidNetworkError) as err:
+        Network(arch, layers)
+    assert any("skip budget exceeded at layer 2" in v for v in err.value.violations)
+
+
+def test_network_without_hidden_layer_cannot_be_made():
+    with pytest.raises(InvalidNetworkError) as err:
+        Network(Architecture(NetworkKind.PLAIN, (1, 1)), (LayerParams(np.eye(1), np.zeros(1)),))
+    assert err.value.violations == ["architecture: depth 0 < 1"]
 
 
 def test_validate_accepts_random_networks():
