@@ -52,7 +52,7 @@ class ShatterCertificate:
             "exhaustive": self.exhaustive,
             "budgets_respected": self.budgets_respected,
             "implied_vc_lower_bound": self.implied_vc_lower_bound,
-        }, indent=1)
+        })
 
 
 # float64 elements per chunk tensor (128 KiB).  Each chunk of labelings is one

@@ -77,7 +77,7 @@ class SegmentPartition:
             "values": [[float(v) for v in row] for row in self.values],
             "point_values": {repr(float(t)): [float(v) for v in row]
                              for t, row in sorted(self.point_values.items())},
-        }, indent=1)
+        })
 
     def value_at(self, t: float) -> np.ndarray:
         t = float(t)

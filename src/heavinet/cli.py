@@ -23,6 +23,7 @@ payloads) takes an explicit seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -253,7 +254,10 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, made on first use and shared by every later
+    ``run`` in the process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="heavinet", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -170,12 +170,6 @@ def mat_all_finite(M) -> bool:
     return bool(np.all(np.isfinite(M)))
 
 
-def mat_to_rows(M) -> list[list[float]]:
-    if sp.issparse(M):
-        M = M.toarray()
-    return [[float(v) for v in row] for row in np.asarray(M, dtype=float)]
-
-
 # -- validation --------------------------------------------------------------
 
 def arch_violations(arch: Architecture) -> list[str]:

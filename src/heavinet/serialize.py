@@ -2,21 +2,31 @@
 
 A network serializes to a single JSON object with fields ``kind``,
 ``depth``, ``widths``, ``skip_counts`` or ``lin_count``, and ``layers`` — an
-ordered list of ``{"W": row-major matrix, "b": vector, "V": optional
-matrix}``.  Numbers are written in full round-trip decimal precision, so a
-round trip is bit-exact on every parameter.  A built network adds a ``meta``
-block with the guarantee, the probe map, and the construction record.
+ordered list of ``{"W": matrix, "b": vector, "V": optional matrix}``.  A
+built network adds a ``meta`` block with the guarantee, the probe map, and
+the construction record.
 
-Matrices are written dense, so a document holds every parameter of the
-dense-equivalent architecture; networks with more than
-``MAX_DOCUMENT_PARAMS`` of them are refused before anything is densified.
+A matrix is written the way it is stored: a ``scipy.sparse`` matrix as
+``{"shape": [r, c], "rows": [...], "cols": [...], "values": [...]}``, its
+stored entries in strictly increasing row-major order, and a dense one as a
+list of rows.  Reading gives a CSR matrix for the first and an ndarray for
+the second, so a parsed network keeps the storage of the one written and
+evaluates on the same code path; documents whose matrices are all dense
+stay readable.  Numbers are written in full round-trip decimal precision,
+so a round trip is bit-exact on every parameter and re-serializing a parsed
+document gives the same bytes.  The JSON carries no indentation.
+
+A document may hold at most ``MAX_DOCUMENT_PARAMS`` parameters of the
+dense-equivalent architecture, sparse layers included; bigger networks are
+refused before anything is written.
 
 Reading checks only the format: the kind tag, integer lists, rows of
-equal length holding numbers, and the types of the meta block.  A
-``ParseError`` means the text is not a network document.  The rules of the
-network classes, shapes, budgets, finite parameters and probe positions
-included, are judged by constructing the ``Network`` and ``BuiltNetwork``,
-so a well-formed document of an invalid network raises
+equal length holding numbers, sparse coordinates inside their declared
+shape and in order, numbers a float64 can hold, and the types of the meta
+block.  A ``ParseError`` means the text is not a network document.  The
+rules of the network classes, shapes, budgets, finite parameters and probe
+positions included, are judged by constructing the ``Network`` and
+``BuiltNetwork``, so a well-formed document of an invalid network raises
 ``InvalidNetworkError`` with every violation.
 """
 
@@ -25,18 +35,30 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.sparse as sp
 
 from .builders.built import BuiltNetwork, Construction, Guarantee
 from .errors import ParseError, ResourceLimitError
-from .networks import Architecture, LayerParams, Network, NetworkKind, mat_to_rows
+from .networks import Architecture, LayerParams, Network, NetworkKind
 
 __all__ = ["to_document", "from_document"]
 
 _KIND_TAGS = {k.value: k for k in NetworkKind}
 
-# dense-equivalent parameters per document: about 40 MB of JSON, and a few
-# hundred MB while the rows are being written
+# dense-equivalent parameters per document, and entries per declared sparse
+# shape: a dense document this big is about 40 MB of JSON
 MAX_DOCUMENT_PARAMS = 1 << 22
+
+
+def _matrix_entry(M) -> list | dict:
+    """A sparse matrix as its sorted coordinates, a dense one as rows."""
+    if not sp.issparse(M):
+        return np.asarray(M, dtype=float).tolist()
+    csr = M.tocsr(copy=True)
+    csr.sum_duplicates()  # sorts the copy in place; the layer stays as it is
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    return {"shape": [int(n) for n in csr.shape], "rows": rows.tolist(),
+            "cols": csr.indices.tolist(), "values": csr.data.astype(float).tolist()}
 
 
 def _network_payload(net: Network) -> dict:
@@ -52,9 +74,9 @@ def _network_payload(net: Network) -> dict:
         doc["lin_count"] = arch.lin_count
     layers = []
     for layer in net.layers:
-        entry = {"W": mat_to_rows(layer.W), "b": [float(v) for v in np.asarray(layer.b)]}
+        entry = {"W": _matrix_entry(layer.W), "b": np.asarray(layer.b, dtype=float).tolist()}
         if layer.V is not None:
-            entry["V"] = mat_to_rows(layer.V)
+            entry["V"] = _matrix_entry(layer.V)
         layers.append(entry)
     doc["layers"] = layers
     return doc
@@ -83,7 +105,7 @@ def to_document(net: Network | BuiltNetwork) -> str:
         doc["meta"] = meta
     else:
         doc = _network_payload(net)
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def _expect(cond: bool, path: str, msg: str):
@@ -95,21 +117,66 @@ _NUMBER_TYPES = {int, float}  # JSON numbers; bool is a type of its own
 
 
 def _ints(obj) -> bool:
-    return isinstance(obj, list) and all(type(v) is int for v in obj)
+    return isinstance(obj, list) and set(map(type, obj)) <= {int}
 
 
 def _numbers(obj) -> bool:
     return isinstance(obj, list) and set(map(type, obj)) <= _NUMBER_TYPES
 
 
-def _matrix(obj, path: str) -> np.ndarray:
-    """A list of equally long rows of numbers, as a 2-D float array."""
+def _floats(obj, path: str) -> np.ndarray:
+    """JSON numbers as a float array; an integer past float64 is malformed."""
+    try:
+        return np.array(obj, dtype=float)
+    except OverflowError:
+        raise ParseError(path, "integer too large for a float64") from None
+
+
+def _indices(obj, bound: int, path: str) -> np.ndarray:
+    """Integers in ``[0, bound)`` as an index array."""
+    _expect(_ints(obj), path, "expected a list of integers")
+    try:
+        idx = np.array(obj, dtype=np.int64)
+    except OverflowError:
+        idx = None
+    _expect(idx is not None and bool(np.all((idx >= 0) & (idx < bound))), path,
+            f"expected indices in [0, {bound})")
+    return idx
+
+
+def _sparse(obj: dict, path: str) -> sp.csr_matrix:
+    """A ``{shape, rows, cols, values}`` entry as a CSR matrix."""
+    shape = obj.get("shape")
+    _expect(_ints(shape) and len(shape) == 2 and min(shape) >= 0
+            and shape[0] * shape[1] <= MAX_DOCUMENT_PARAMS, f"{path}.shape",
+            f"expected [rows, cols], integers >= 0 with at most {MAX_DOCUMENT_PARAMS} entries")
+    n_rows, n_cols = shape
+    rows = _indices(obj.get("rows"), n_rows, f"{path}.rows")
+    cols = _indices(obj.get("cols"), n_cols, f"{path}.cols")
+    values = obj.get("values")
+    _expect(_numbers(values), f"{path}.values", "expected a list of numbers")
+    _expect(len(rows) == len(cols) == len(values), path,
+            "rows, cols and values differ in length")
+    key = rows * n_cols + cols
+    _expect(bool(np.all(key[1:] > key[:-1])), path,
+            "coordinates repeated or out of row-major order")
+    data = _floats(values, f"{path}.values")
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return sp.csr_matrix((data, cols, indptr), shape=(n_rows, n_cols))
+
+
+def _matrix(obj, path: str):
+    """A sparse entry as CSR, or a list of equally long rows of numbers as a
+    2-D float array."""
+    if isinstance(obj, dict):
+        return _sparse(obj, path)
     _expect(isinstance(obj, list) and all(isinstance(row, list) for row in obj), path,
-            "expected a list of rows")
+            "expected a list of rows or a {shape, rows, cols, values} object")
     cols = len(obj[0]) if obj else 0
     for r, row in enumerate(obj):
         _expect(len(row) == cols and _numbers(row), f"{path}[{r}]", f"expected {cols} numbers")
-    return np.array(obj, dtype=float).reshape(len(obj), cols)
+    return _floats(obj, path).reshape(len(obj), cols)
 
 
 def from_document(text: str) -> Network | BuiltNetwork:
@@ -149,7 +216,7 @@ def from_document(text: str) -> Network | BuiltNetwork:
         _expect(isinstance(entry, dict), path, "expected an object")
         W = _matrix(entry.get("W"), f"{path}.W")
         _expect(_numbers(entry.get("b")), f"{path}.b", "expected a list of numbers")
-        b = np.array(entry["b"], dtype=float)
+        b = _floats(entry["b"], f"{path}.b")
         V = _matrix(entry["V"], f"{path}.V") if "V" in entry else None
         layers.append(LayerParams(W, b, V))
 
@@ -167,7 +234,8 @@ def from_document(text: str) -> Network | BuiltNetwork:
         _expect(isinstance(g, dict) and type(g.get("sup_error_bound")) in _NUMBER_TYPES
                 and type(g.get("domain_dim", 1)) is int,
                 "$.meta.guarantee", "expected {sup_error_bound, domain_dim}")
-        guarantee = Guarantee(float(g["sup_error_bound"]), g.get("domain_dim", 1))
+        bound = _floats(g["sup_error_bound"], "$.meta.guarantee.sup_error_bound")
+        guarantee = Guarantee(float(bound), g.get("domain_dim", 1))
     probes = meta.get("probes", {})
     _expect(isinstance(probes, dict), "$.meta.probes", "expected an object")
     for label, pos in probes.items():

@@ -1,6 +1,10 @@
 """CLI behavior: subcommands, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +272,116 @@ def test_build_over_document_cap_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert "140696295 dense-equivalent parameters" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _holder_doc(tmp_path, capsys):
+    """A build holder document with sparse layers, the commands that read
+    it, and the index of its first layer whose W is written sparse with more
+    than one entry."""
+    net = tmp_path / "holder.json"
+    _run(capsys, "build", "holder", "--kind", "skip", "--target", "x2", "--m", "2", "--n", "0",
+         "-o", str(net))
+    doc = json.loads(net.read_text())
+    first = next(i for i, layer in enumerate(doc["layers"])
+                 if isinstance(layer["W"], dict) and len(layer["W"]["values"]) > 1)
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.25\n0.75\n")
+    commands = (["validate", str(net)], ["eval", str(net), "--points", str(pts)],
+                ["pieces", str(net), "--from", "0", "--to", "1"])
+    return net, doc, first, commands
+
+
+@pytest.mark.parametrize("case", ["dense row", "bias", "sparse values"])
+def test_integer_past_float64_exits_2(tmp_path, capsys, case):
+    if case == "sparse values":
+        net, doc, i, commands = _holder_doc(tmp_path, capsys)
+        doc["layers"][i]["W"]["values"][0] = 10 ** 400
+        path = f"$.layers[{i}].W.values"
+    else:
+        net, doc, commands = _square_doc(tmp_path, capsys)
+        if case == "dense row":
+            doc["layers"][2]["W"][1][0] = 10 ** 400
+            path = "$.layers[2].W"
+        else:
+            doc["layers"][1]["b"][0] = -10 ** 400
+            path = "$.layers[1].b"
+    net.write_text(json.dumps(doc))
+    for argv in commands:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {path}: "), err
+
+
+def _unsort(W):
+    for key in ("rows", "cols", "values"):
+        W[key][0], W[key][1] = W[key][1], W[key][0]
+
+
+MALFORMED_SPARSE = {
+    "lengths differ": (lambda W: W["rows"].pop(), ""),
+    "unsorted": (_unsort, ""),
+    "bad shape": (lambda W: W.update(shape=[W["shape"][0], -1]), ".shape"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPARSE)
+def test_malformed_sparse_entry_exits_2(tmp_path, capsys, case):
+    net, doc, i, commands = _holder_doc(tmp_path, capsys)
+    breaks, suffix = MALFORMED_SPARSE[case]
+    breaks(doc["layers"][i]["W"])
+    net.write_text(json.dumps(doc))
+    for argv in commands:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: $.layers[{i}].W{suffix}: "), err
+
+
+def test_sparse_shape_disagreeing_with_the_widths_exits_1(tmp_path, capsys):
+    net, doc, i, commands = _holder_doc(tmp_path, capsys)
+    rows, cols = doc["layers"][i]["W"]["shape"]
+    doc["layers"][i]["W"]["shape"] = [rows, cols + 1]
+    net.write_text(json.dumps(doc))
+    for argv in commands:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, ""), argv
+        assert f"layer {i}: W shape ({rows}, {cols + 1}), expected ({rows}, {cols})" in out
+
+
+def test_runs_in_one_process_share_no_state(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    build = ["build", "square", "--L", "3", "--p1", "1", "--skips", "1,0"]
+    assert _run(capsys, *build, "-o", str(a)) == (0, "")
+    assert _run(capsys, *build) == (0, a.read_text() + "\n")  # to stdout, not to A
+    segment = ["pieces", str(a), "--from", "0", "--to", "1"]
+    code, sampled = _run(capsys, *segment, "--sampled", "1000")
+    assert code == 0
+    code, exact = _run(capsys, *segment)  # the partition, not a sampled count
+    assert code == 0
+    assert sampled == f"pieces,{json.loads(exact)['piece_count']}\n"
+
+
+def test_parser_is_made_on_first_run_not_at_import():
+    probe = ("import heavinet.cli as cli; n = cli.build_parser.cache_info().currsize; "
+             "cli.run(['bounds', '--kind', 'plain', '--L', '2', '--p', '2']); "
+             "cli.run(['bounds', '--kind', 'plain', '--L', '3', '--p', '2']); "
+             "print(n, cli.build_parser.cache_info().misses)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 1"
+
+
+def test_documents_share_one_compact_json_style(tmp_path, capsys):
+    net, cert = tmp_path / "net.json", tmp_path / "cert.json"
+    _run(capsys, "build", "square", "--L", "2", "--p1", "1", "--skips", "0", "-o", str(net))
+    code, pieces = _run(capsys, "pieces", str(net), "--from", "0", "--to", "1")
+    assert code == 0
+    assert _run(capsys, "shatter", "--kind", "skip", "--m", "1", "--n", "1",
+                "-o", str(cert)) == (0, "")
+    for text in (net.read_text(), pieces.rstrip("\n"), cert.read_text()):
+        assert text == json.dumps(json.loads(text))

@@ -4,10 +4,30 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from heavinet import NetworkKind, ParseError, evaluate_batch
-from heavinet.builders import BuiltNetwork, parity_network, square_approximator
+from heavinet import (
+    Architecture,
+    InvalidNetworkError,
+    LayerParams,
+    Network,
+    NetworkKind,
+    ParseError,
+    evaluate_batch,
+)
+from heavinet.builders import (
+    BitTable,
+    BuiltNetwork,
+    CellGeometry,
+    binary_bit_extractor_lin,
+    decoder,
+    holder_approximator,
+    parity_network,
+    shattering_net,
+    square_approximator,
+)
 from heavinet.serialize import from_document, to_document
+from heavinet.targets import TARGETS
 from netgen import random_network
 
 
@@ -76,3 +96,150 @@ def test_schema_violation_reports_path():
     with pytest.raises(ParseError) as err:
         from_document(json.dumps(doc))
     assert "$.layers[1].W" in str(err.value)
+
+
+def _storage(net):
+    """Per layer: whether W, and V where present, are stored sparse."""
+    return [(sp.issparse(layer.W), None if layer.V is None else sp.issparse(layer.V))
+            for layer in net.layers]
+
+
+def _points(d, rng):
+    if d == 1:
+        return np.linspace(0.0, 1.0, 4097)[:, None]
+    return np.vstack([rng.uniform(0, 1, (500, d)), rng.integers(0, 2, (500, d))])
+
+
+def _skip_decoder():
+    # J + K + 1 = 513 cells: the first skip decoder the builder stores sparse
+    geom = CellGeometry("skip", 1, 8, 0)
+    return decoder("skip", BitTable(geom, np.random.default_rng(3).integers(0, 2, geom.sizes)))
+
+
+ROUND_TRIPS = {
+    "skip holder": (lambda: holder_approximator("skip", TARGETS["x2"].holder_config(2, 0, None)),
+                    True),
+    "skip decoder": (_skip_decoder, True),
+    # the shattering nets are built dense, so they are written dense
+    "skip shatter net": (lambda: shattering_net("skip", 1, 1, 0, [1, 0, 1, 1, 0, 0, 1, 0])[0],
+                         False),
+    "dense square": (lambda: square_approximator(4, 2, (2, 2, 0)), False),
+    "lin bits": (lambda: binary_bit_extractor_lin(8, "wide"), False),
+}
+
+
+@pytest.mark.parametrize("case", ROUND_TRIPS)
+def test_round_trip_keeps_storage_values_and_bytes(case):
+    make, sparse = ROUND_TRIPS[case]
+    built = make()
+    text = to_document(built)
+    loaded = from_document(text)
+    assert _storage(loaded.net) == _storage(built.net)
+    assert any(W for W, _ in _storage(built.net)) == sparse
+    assert all(isinstance(M, (sp.csr_matrix, np.ndarray)) for layer in loaded.net.layers
+               for M in (layer.W, layer.V) if M is not None)
+    X = _points(built.net.arch.input_dim, np.random.default_rng(0))
+    assert np.array_equal(evaluate_batch(loaded.net, X), evaluate_batch(built.net, X))
+    assert to_document(loaded) == text
+    assert text == json.dumps(json.loads(text))  # no indentation
+
+
+def _densify(entry):
+    if isinstance(entry, dict):
+        M = np.zeros(entry["shape"])
+        M[entry["rows"], entry["cols"]] = entry["values"]
+        return M.tolist()
+    return entry
+
+
+def test_dense_document_of_a_sparse_network_reads_dense_and_evaluates_identically():
+    built = ROUND_TRIPS["skip holder"][0]()
+    doc = json.loads(to_document(built))
+    for layer in doc["layers"]:
+        for key in ("W", "V"):
+            if key in layer:
+                layer[key] = _densify(layer[key])
+    loaded = from_document(json.dumps(doc, indent=1))  # every matrix as rows
+    assert all(not W and not V for W, V in _storage(loaded.net))
+    X = _points(1, None)
+    assert np.array_equal(evaluate_batch(loaded.net, X), evaluate_batch(built.net, X))
+
+
+def _sparse_doc():
+    """A two-layer plain network whose first W is sparse: W is (3, 2)."""
+    W0 = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -2.0], [0.5, 0.25]]))
+    net = Network(Architecture(NetworkKind.PLAIN, (2, 3, 1)),
+                  (LayerParams(W0, np.array([0.5, -1.0, 0.0])),
+                   LayerParams(np.array([[1.0, 1.0, -1.0]]), np.array([0.0]))))
+    doc = json.loads(to_document(net))
+    assert doc["layers"][0]["W"] == {"shape": [3, 2], "rows": [0, 1, 2, 2],
+                                     "cols": [0, 1, 0, 1], "values": [1.0, -2.0, 0.5, 0.25]}
+    assert doc["layers"][1]["W"] == [[1.0, 1.0, -1.0]]
+    return doc
+
+
+def _set(key, i, value):
+    return lambda W: W[key].__setitem__(i, value)
+
+
+def _swap_first_two(W):
+    for key in ("rows", "cols", "values"):
+        W[key][0], W[key][1] = W[key][1], W[key][0]
+
+
+def _repeat_first(W):
+    for key in ("rows", "cols", "values"):
+        W[key].insert(1, W[key][0])
+
+
+W0 = "$.layers[0].W"
+MALFORMED_SPARSE = {
+    "lengths differ": (lambda W: W["values"].pop(), W0),
+    "bool index": (_set("rows", 0, True), W0 + ".rows"),
+    "float index": (_set("cols", 1, 1.0), W0 + ".cols"),
+    "column outside shape": (_set("cols", 3, 2), W0 + ".cols"),
+    "negative row": (_set("rows", 0, -1), W0 + ".rows"),
+    "huge row": (_set("rows", 3, 10 ** 30), W0 + ".rows"),
+    "repeated coordinate": (_repeat_first, W0),
+    "unsorted coordinates": (_swap_first_two, W0),
+    "shape of one number": (lambda W: W.update(shape=[3]), W0 + ".shape"),
+    "negative shape": (_set("shape", 1, -2), W0 + ".shape"),
+    "float shape": (_set("shape", 1, 2.0), W0 + ".shape"),
+    "shape over the cap": (lambda W: W.update(shape=[1 << 12, 1 << 11]), W0 + ".shape"),
+    "missing cols": (lambda W: W.pop("cols"), W0 + ".cols"),
+    "string value": (_set("values", 0, "1"), W0 + ".values"),
+    "value past float64": (_set("values", 2, 10 ** 400), W0 + ".values"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SPARSE)
+def test_malformed_sparse_entry_is_a_parse_error_at_its_path(case):
+    doc = _sparse_doc()
+    breaks, path = MALFORMED_SPARSE[case]
+    breaks(doc["layers"][0]["W"])
+    with pytest.raises(ParseError) as err:
+        from_document(json.dumps(doc))
+    assert err.value.path == path
+
+
+def test_sparse_shape_disagreeing_with_the_widths_is_a_network_violation():
+    doc = _sparse_doc()
+    doc["layers"][0]["W"]["shape"] = [3, 3]
+    with pytest.raises(InvalidNetworkError) as err:
+        from_document(json.dumps(doc))
+    assert err.value.violations == ["layer 0: W shape (3, 3), expected (3, 2)"]
+
+
+@pytest.mark.parametrize("where, path", [
+    (lambda doc: doc["layers"][1]["W"][0].__setitem__(2, 10 ** 400), "$.layers[1].W"),
+    (lambda doc: doc["layers"][0]["b"].__setitem__(1, -10 ** 400), "$.layers[0].b"),
+    (lambda doc: doc.update(meta={"construction": {"name": "hand"},
+                                  "guarantee": {"sup_error_bound": 10 ** 400}}),
+     "$.meta.guarantee.sup_error_bound"),
+], ids=["dense row", "bias", "guarantee"])
+def test_integer_past_float64_is_a_parse_error(where, path):
+    doc = _sparse_doc()
+    where(doc)
+    with pytest.raises(ParseError) as err:
+        from_document(json.dumps(doc))
+    assert err.value.path == path
