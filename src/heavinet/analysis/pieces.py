@@ -24,7 +24,10 @@ grid indices where a step state flips.  A run boundary can land one index
 away from the grid's own value change, so every run is read at its first
 and its last grid point; ``_grid_values_dense`` is the literal dense
 evaluator the tests compare against.  Bisection runs array-at-a-time: each
-round halves every open gap in one evaluation, and a gap ends at the
+open gap carries the last-hidden-layer pattern and the output of its two
+ends, read where they were first evaluated, so a round evaluates only the
+midpoints of the open gaps, in one call.  Every parameter thus gets
+exactly one value per ``sampled_pieces`` call.  A gap ends at the
 tolerance or where a float cannot split it any further.
 
 Both analyses judge sameness of evaluated parameters by one elementwise
@@ -177,14 +180,14 @@ def _eval_at(net: Network, x1, x2, ts: np.ndarray, with_trace: bool = False):
 def _same_value(pat: np.ndarray, out: np.ndarray, i, j):
     """Whether evaluated parameters ``i`` and ``j`` carry the same output.
 
-    ``i`` and ``j`` are columns of one evaluation: ints, index arrays or
-    slices, compared elementwise.  Columns with equal last-hidden-layer
-    activation patterns are equal by construction (the output is one
-    affine map of that pattern), whatever the low bits of the evaluated
-    floats say — BLAS kernels may round the same dot product differently
-    between columns.  Different patterns compare by exact output equality,
-    which catches genuine cancellations (they are exact in the dyadic
-    constructions this package emits).
+    ``i`` and ``j`` index columns of ``pat`` and rows of ``out``: ints,
+    index arrays or slices, compared elementwise.  Columns with equal
+    last-hidden-layer activation patterns are equal by construction (the
+    output is one affine map of that pattern), whatever the low bits of
+    the evaluated floats say — BLAS kernels may round the same dot product
+    differently between columns and between calls.  Different patterns
+    compare by exact output equality, which catches genuine cancellations
+    (they are exact in the dyadic constructions this package emits).
     """
     return (pat[:, i] == pat[:, j]).all(axis=0) | (out[i] == out[j]).all(axis=-1)
 
@@ -278,30 +281,24 @@ def _grid_values_dense(net: Network, x1, x2, N: int) -> np.ndarray:
 def _flip_indices(A: np.ndarray, S: np.ndarray, N: int, lo: np.ndarray, hi: np.ndarray):
     """Index in (lo, hi] where the affine sign pattern changes, or hi+1.
 
-    ``k`` is the first grid index whose step state differs from the state at
-    ``lo``; correction rounds pin it exactly against the float evaluation of
-    ``A + S * (k/N)``, and a final validation drops crossings whose state
-    never actually changes inside the run.
+    The step state of ``A + S * (k/N) >= 0`` is monotone in ``k``, so it
+    changes at most once.  The rounded root ``k0`` lands within one index
+    of that change; one evaluation of the state at ``k0-3 .. k0+2`` reads
+    every candidate ``k`` in ``k0-2 .. k0+2`` against ``k-1``, and the
+    first candidate in (lo, hi] whose state differs is the answer.
     """
     up = S > 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.clip(-A / S, -1.0, 2.0)
-    k = np.where(up, np.ceil(root * N), np.floor(root * N) + 1).astype(np.int64)
-    k = np.clip(k, lo + 1, hi + 1)
-    for _ in range(2):
-        z = A + S * (np.minimum(k - 1, hi) / N)
-        flipped_before = np.where(up, z >= 0.0, z < 0.0)
-        k = np.where(flipped_before & (k - 1 >= lo + 1), k - 1, k)
-        z = A + S * (np.minimum(k, hi + 1) / N)
-        not_flipped = np.where(up, z < 0.0, z >= 0.0) & (k <= hi)
-        k = np.where(not_flipped, k + 1, k)
-    # validate: state really changes between k-1 and k
-    z_prev = A + S * (np.minimum(k - 1, hi) / N)
-    z_here = A + S * (np.minimum(k, hi + 1) / N)
-    state_prev = z_prev >= 0.0
-    state_here = z_here >= 0.0
-    real = (k > lo) & (k <= hi) & (state_prev != state_here)
-    return np.where(real, k, hi + 1)
+    k0 = np.where(up, np.ceil(root * N), np.floor(root * N) + 1).astype(np.int64)
+    k0 = np.clip(k0, lo + 1, hi + 1)
+    ks = k0[:, None] + np.arange(-3, 3)
+    state = A[:, None] + S[:, None] * (ks / N) >= 0.0
+    cand = ks[:, 1:]
+    flips = (state[:, 1:] != state[:, :-1]) & (cand > lo[:, None]) & (cand <= hi[:, None])
+    first = np.argmax(flips, axis=1)
+    rows = np.arange(len(first))
+    return np.where(flips[rows, first], cand[rows, first], hi + 1)
 
 
 def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> int:
@@ -338,12 +335,16 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
     ends[1::2] -= 1
     ts = ends / N
     out, trace = _eval_at(net, x1, x2, ts, with_trace=True)
-    changed = np.flatnonzero(~_same_value(trace[-1], out, slice(1, None), slice(None, -1)))
-    a, b = ts[changed], ts[changed + 1]
+    pat = trace[-1]
+    changed = np.flatnonzero(~_same_value(pat, out, slice(1, None), slice(None, -1)))
 
-    # bisection refinement, all open gaps at once; each round evaluates
-    # (a, mid, b) of every gap in one traced call so the three-way
-    # comparisons are self-consistent
+    # bisection refinement, all open gaps at once; every gap carries the
+    # last-hidden-layer pattern and the output of its ends a and b, read
+    # when they were first evaluated, so a round evaluates only the
+    # midpoints and every parameter gets exactly one value per call.
+    # Patterns are carried one 0/1 row per gap, as bools.
+    a, pa, oa = ts[changed], pat.T[changed].astype(bool), out[changed]
+    b, pb, ob = ts[changed + 1], pat.T[changed + 1].astype(bool), out[changed + 1]
     changes = 0
     while a.size:
         mid = 0.5 * (a + b)
@@ -351,18 +352,27 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
         done = (b - a <= refine_tol) | (mid == a) | (mid == b)
         if done.any():
             changes += int(np.count_nonzero(done))
-            a, mid, b = a[~done], mid[~done], b[~done]
+            live = ~done
+            a, mid, b = a[live], mid[live], b[live]
+            pa, oa, pb, ob = pa[live], oa[live], pb[live], ob[live]
             if not a.size:
                 break
-        abm = np.empty((a.size, 3))
-        abm[:, 0], abm[:, 1], abm[:, 2] = a, mid, b
-        rout, rtrace = _eval_at(net, x1, x2, abm.reshape(-1), with_trace=True)
-        at_a = _same_value(rtrace[-1], rout, slice(1, None, 3), slice(0, None, 3))
-        at_b = _same_value(rtrace[-1], rout, slice(1, None, 3), slice(2, None, 3))
+        mout, mtrace = _eval_at(net, x1, x2, mid, with_trace=True)
+        # lay the carried a, the new mid and the carried b side by side,
+        # (a, mid, b) per gap, and compare within that layout
+        abm = np.stack([a, mid, b], axis=1)
+        pats = np.stack([pa, mtrace[-1].T.astype(bool), pb], axis=1)
+        outs = np.stack([oa, mout, ob], axis=1)
+        flat_pat = pats.reshape(-1, pats.shape[2]).T
+        flat_out = outs.reshape(-1, outs.shape[2])
+        at_a = _same_value(flat_pat, flat_out, slice(1, None, 3), slice(0, None, 3))
+        at_b = _same_value(flat_pat, flat_out, slice(1, None, 3), slice(2, None, 3))
         # keep (a, mid) unless mid carries a's value, and (mid, b) when it
         # carries a's value or not b's (a third value inside: two changes)
         keep = np.empty((a.size, 2), dtype=bool)
         keep[:, 0] = ~at_a
         keep[:, 1] = at_a | ~at_b
         a, b = abm[:, :2][keep], abm[:, 1:][keep]
+        pa, pb = pats[:, :2][keep], pats[:, 1:][keep]
+        oa, ob = outs[:, :2][keep], outs[:, 1:][keep]
     return changes + 1

@@ -9,10 +9,11 @@ import numpy as np
 from ..errors import InvalidInputError
 from ..networks import Network, evaluate_batch
 
-__all__ = ["SupErrorResult", "sup_error", "axis_grid"]
+__all__ = ["SupErrorResult", "sup_error", "axis_grid", "grid_rows"]
 
 TOTAL_POINT_CAP = 4_000_000
 DEFAULT_AXIS_POINTS = 100_000
+GRID_CHUNK = TOTAL_POINT_CAP // 16  # grid points enumerated and evaluated at a time
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,19 @@ def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]
     return [base.copy() for _ in range(d)]
 
 
+def grid_rows(axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo..hi-1`` of the tensor grid over ``axes``, enumerated
+    last-axis-fastest, as an (hi - lo, d) float array; the whole grid is
+    never built."""
+    # the rows outlive this call: allocated before the index temporaries,
+    # they do not pin the heap above the memory those give back
+    rows = np.empty((hi - lo, len(axes)))
+    idx = np.unravel_index(np.arange(lo, hi), [len(a) for a in axes])
+    for k, (a, i) in enumerate(zip(axes, idx)):
+        rows[:, k] = np.asarray(a, dtype=float)[i]
+    return rows
+
+
 def sup_error(net: Network, f0, per_axis: int | None = None,
               extra=(), axes: list[np.ndarray] | None = None) -> SupErrorResult:
     """Max |net - f0| over a tensor grid of the unit cube.
@@ -60,11 +74,8 @@ def sup_error(net: Network, f0, per_axis: int | None = None,
 
     best_val = -1.0
     best_pt = None
-    chunk = max(1, TOTAL_POINT_CAP // 16)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    for lo in range(0, total, chunk):
-        block = pts[lo:lo + chunk]
+    for lo in range(0, total, GRID_CHUNK):
+        block = grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
         out = evaluate_batch(net, block)[:, 0]
         target = np.asarray(f0(block), dtype=float).reshape(-1)
         err = np.abs(out - target)

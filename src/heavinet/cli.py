@@ -23,6 +23,7 @@ payloads) takes an explicit seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -36,6 +37,7 @@ from .analysis import (
     shatter_verify,
     sup_error,
 )
+from .analysis.sup import GRID_CHUNK, TOTAL_POINT_CAP, grid_rows
 from .builders import BitTable, CellGeometry
 from .errors import (
     InvalidInputError,
@@ -67,14 +69,21 @@ def _range(text: str) -> list[int]:
     return _csv_ints(text)
 
 
-def _write(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path``, or stdout for ``None`` and ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(path: str | None, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
+        if fh is sys.stdout and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _load_net(path: str):
@@ -152,24 +161,29 @@ def _cmd_build(args) -> int:
 
 def _cmd_eval(args) -> int:
     net = _load_net(args.net)
+    d = net.arch.input_dim
     if args.points:
         X = _load_points(args.points)
+        blocks = [(X, evaluate_batch(net, X))]
     else:
         n = args.grid
         if n < 1:
             raise InvalidInputError("--grid needs at least one interval")
-        if (n + 1) ** net.arch.input_dim > 4_000_000:
+        total = (n + 1) ** d
+        if total > TOTAL_POINT_CAP:
             raise InvalidInputError("grid too large; cap is 4e6 points")
-        axes = [np.arange(n + 1) / n for _ in range(net.arch.input_dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    Y = evaluate_batch(net, X)
-    header = ",".join([f"x{i + 1}" for i in range(X.shape[1])]
-                      + [f"y{i + 1}" for i in range(Y.shape[1])])
-    lines = [header]
-    for xr, yr in zip(X, Y):
-        lines.append(",".join(repr(float(v)) for v in (*xr, *yr)))
-    _write(args.output, "\n".join(lines) + "\n")
+        axes = [np.arange(n + 1) / n for _ in range(d)]
+        grid = (grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
+                for lo in range(0, total, GRID_CHUNK))
+        blocks = ((X, evaluate_batch(net, X)) for X in grid)
+    header = ",".join([f"x{i + 1}" for i in range(d)]
+                      + [f"y{i + 1}" for i in range(net.arch.output_dim)])
+    # the table goes out one block at a time, never whole in memory
+    with _output(args.output) as fh:
+        fh.write(header + "\n")
+        for X, Y in blocks:
+            fh.write("".join(",".join(map(repr, xr + yr)) + "\n"
+                             for xr, yr in zip(X.tolist(), Y.tolist())))
     return 0
 
 

@@ -264,6 +264,30 @@ def test_eval_grid_cap(tmp_path, capsys):
     assert run(["eval", str(net), "--grid", "4000"]) == 2  # 4001^3 over the cap
 
 
+@pytest.mark.parametrize("chunk", [7, 250_000])
+def test_eval_grid_writes_the_whole_table_in_blocks(tmp_path, capsys, monkeypatch, chunk):
+    # the table a grid evaluation writes block by block, to a file and to
+    # stdout, has the bytes of the whole grid built at once and written whole
+    from heavinet import cli
+    from heavinet.networks import evaluate_batch
+    from heavinet.serialize import from_document
+
+    monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+    net = tmp_path / "net.json"
+    _run(capsys, "build", "rect", "--a", "0.2,0.3", "--b", "0.7,0.9", "-o", str(net))
+    n = 9
+    axes = [np.arange(n + 1) / n] * 2
+    X = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    Y = evaluate_batch(from_document(net.read_text()).net, X)
+    want = "\n".join(["x1,x2,y1"] + [",".join(repr(float(v)) for v in (*xr, *yr))
+                                      for xr, yr in zip(X, Y)]) + "\n"
+    out = tmp_path / "grid.csv"
+    code, _ = _run(capsys, "eval", str(net), "--grid", str(n), "-o", str(out))
+    assert code == 0 and out.read_bytes() == want.encode()
+    code, printed = _run(capsys, "eval", str(net), "--grid", str(n))
+    assert code == 0 and printed == want
+
+
 def test_build_over_document_cap_is_a_usage_error(tmp_path, capsys):
     # 181 074 nonzeros, 140 696 295 dense-equivalent parameters
     out = tmp_path / "f.json"

@@ -7,7 +7,13 @@ import pytest
 
 from heavinet import InvalidInputError, NetworkKind, evaluate_batch
 from heavinet.analysis import exact_pieces, piece_bound, pieces, sampled_pieces
-from heavinet.analysis.pieces import _grid_values_dense, _propagate, _root_split, _same_value
+from heavinet.analysis.pieces import (
+    _flip_indices,
+    _grid_values_dense,
+    _propagate,
+    _root_split,
+    _same_value,
+)
 from heavinet.builders import (
     hyperrectangle_indicator,
     mixed_radix_bit_extractor,
@@ -84,6 +90,49 @@ def test_sampled_ends_gaps_a_float_cannot_split(monkeypatch):
     monkeypatch.setattr(pieces, "_eval_at", counted)
     net = mixed_radix_bit_extractor((2, 2)).net
     assert sampled_pieces(net, [0.0], [1.0], 100, refine_tol=1e-20) == 4
+
+
+def test_sampled_evaluates_each_parameter_once(monkeypatch):
+    # every gap carries its ends' values, so a bisection round evaluates
+    # only its midpoints and no parameter is evaluated twice in one call
+    eval_at, calls = pieces._eval_at, []
+
+    def counted(net, x1, x2, ts, with_trace=False):
+        calls.append(np.array(ts))
+        return eval_at(net, x1, x2, ts, with_trace=with_trace)
+
+    monkeypatch.setattr(pieces, "_eval_at", counted)
+    net = mixed_radix_bit_extractor((16, 8, 4, 4)).net
+    assert sampled_pieces(net, [0.0], [1.0], 1_000_000, refine_tol=1e-9) == 2048
+    ts = np.concatenate(calls)
+    assert len(calls) == 11
+    assert ts.size == 24_566
+    assert np.unique(ts).size == ts.size
+
+
+def test_flip_indices_equal_a_literal_scan():
+    # the first k in (lo, hi] whose state A + S*(k/N) >= 0 differs from
+    # state(k-1), found by walking the run, or hi+1 if there is none
+    def scan(a, s, N, lo, hi):
+        for k in range(lo + 1, hi + 1):
+            if (a + s * ((k - 1) / N) >= 0.0) != (a + s * (k / N) >= 0.0):
+                return k
+        return hi + 1
+
+    rng = np.random.default_rng(66)
+    for N in (2, 3, 7, 10, 97, 1000):
+        n = 400
+        S = rng.choice([-1.0, 1.0], n) * rng.uniform(1e-3, 1e3, n)
+        # roots anywhere near [0, 1], and roots placed exactly on the grid
+        root = rng.uniform(-0.5, 1.5, n)
+        on_grid = rng.random(n) < 0.5
+        root[on_grid] = rng.integers(-2, N + 3, on_grid.sum()) / N
+        A = -S * root
+        ends = np.sort(rng.integers(0, N + 1, (n, 2)), axis=1)
+        lo, hi = ends[:, 0], ends[:, 1]
+        got = _flip_indices(A, S, N, lo, hi)
+        want = [scan(a, s, N, int(l), int(h)) for a, s, l, h in zip(A, S, lo, hi)]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("N", [2, 3, 5])

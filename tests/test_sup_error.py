@@ -49,3 +49,13 @@ def test_default_grid_respects_budget():
     assert len(axes[0]) >= 100
     with pytest.raises(InvalidInputError):
         axis_grid(1, extra=[1.5])
+
+
+def test_grid_rows_are_slices_of_the_last_axis_fastest_grid():
+    from heavinet.analysis.sup import grid_rows
+
+    axes = [np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.2]), np.linspace(0, 1, 5)]
+    whole = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    assert np.array_equal(grid_rows(axes, 0, 30), whole)
+    for lo, hi in [(0, 1), (7, 8), (3, 19), (29, 30), (12, 12)]:
+        assert np.array_equal(grid_rows(axes, lo, hi), whole[lo:hi])
