@@ -5,7 +5,10 @@ and the matching approximation-error floor.  Each raises
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 
 from ..errors import InvalidInputError
 from ..networks import Architecture, NetworkKind, arch_violations
@@ -30,7 +33,7 @@ def _layer_ceilings(arch: Architecture) -> list[int]:
     else:
         taps = arch.skip_counts if arch.kind is NetworkKind.SKIP else (0,) * (arch.depth - 1)
         factors = [hidden[0] + 1, *(s + 1 for s in taps)]
-    return [math.prod(factors[:k]) for k in range(1, len(factors) + 1)]
+    return list(accumulate(factors, operator.mul))
 
 
 def piece_bound(arch: Architecture) -> int:
@@ -42,11 +45,13 @@ def piece_bound(arch: Architecture) -> int:
 
 def approx_lower_bound(value_range: tuple[float, float], arch: Architecture) -> float:
     """Sup-norm error floor for approximating any continuous target whose
-    values span ``value_range``: (sup - inf) / (2 * piece bound)."""
+    values span ``value_range``: (sup - inf) / (2 * piece bound), divided
+    exactly, so a piece bound past the float range gives 0.0, not an
+    overflow."""
     lo, hi = float(value_range[0]), float(value_range[1])
     if hi < lo:
         raise InvalidInputError("value range must satisfy sup >= inf")
-    return (hi - lo) / (2.0 * piece_bound(arch))
+    return float(Fraction(hi - lo) / (2 * piece_bound(arch)))
 
 
 def _rectangular(arch: Architecture) -> tuple[int, int, int] | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,7 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     net = template.net
     budgets_ok = _within_budgets(net.arch, kind, m, n, t)
     width = max(net.arch.augmented_widths())
-    weights = max(np.asarray(net.layers[s].W).size for s in np.unique(template.stage))
+    weights = max(math.prod(net.layers[s].W.shape) for s in np.unique(template.stage))
     block = max(1, LABELING_CHUNK_ELEMENTS // width)  # points per pass
     failed = np.zeros(tried, dtype=bool)
     for p0 in range(0, npts, block):

@@ -386,7 +386,7 @@ def _slice_decoder(table: BitTable, r_select: int) -> BuiltNetwork:
     if not 1 <= r_select <= R:
         raise InvalidInputError(f"r_select={r_select} outside 1..{R}")
     payload = table.payload
-    nb = NetBuilder(geom.d * geom.levels, NetworkKind.PLAIN, sparse=J + K + 1 > 512)
+    nb = NetBuilder(geom.d * geom.levels, NetworkKind.PLAIN)
     nb.new_layer()
 
     def ind(group, index):
@@ -417,15 +417,14 @@ def _standalone_decoder(table: BitTable) -> BuiltNetwork:
     """Full decoder on raw digit inputs: the skip bank with taps, or the
     lin block."""
     geom = table.geometry
-    J, K, _ = geom.sizes
     inputs = list(range(geom.d * geom.levels))
     params = {"kind": geom.kind, "d": geom.d, "m": geom.m, "n": geom.n}
     if geom.kind == "skip":
-        nb = NetBuilder(len(inputs), NetworkKind.SKIP, sparse=J + K + 1 > 512)
+        nb = NetBuilder(len(inputs), NetworkKind.SKIP)
         (parts,), _ = grow_skip_decoder_bank(nb, [table], inputs)
         out_bias = -0.5
     else:
-        nb = NetBuilder(len(inputs), NetworkKind.LIN, sparse=J + K > 512)
+        nb = NetBuilder(len(inputs), NetworkKind.LIN)
         parts, _ = grow_lin_decoder(nb, table, inputs)
         out_bias = 0.0
         params["t"] = geom.t

@@ -3,11 +3,16 @@
 Builders add neurons one hidden layer at a time.  A neuron is described by
 its weights on previous-layer neurons (by handle), optional taps on the raw
 input (skip rows), a bias, and its activation (step or identity).  ``build``
-packs everything into weight matrices — dense by default, COO-assembled
-sparse for the big constructions — pads identity neurons to a uniform
+packs everything into weight matrices, pads identity neurons to a uniform
 per-layer count for the lin kind, and returns the ``Network``, which
 validates itself when made: a builder that breaks a rule of its class gets
 ``InvalidNetworkError``.
+
+Each matrix is stored by one rule on its own shape and nonzero count: CSR
+when it has at least ``SPARSE_MIN_ENTRIES`` entries and at most
+1/``SPARSE_MAX_FILL`` of them are nonzero, dense otherwise.  A skip stage
+whose input taps are all zero stores no tap matrix (``V`` is ``None``); its
+architecture still counts the stage, with budget 0.
 
 Handles are opaque integers; referencing a handle outside the immediately
 preceding layer is an assembly error.
@@ -25,6 +30,12 @@ from ..networks import Architecture, LayerParams, Network, NetworkKind
 
 __all__ = ["NetBuilder"]
 
+# CSR only where it pays: on a small matrix scipy's per-call overhead
+# outweighs the skipped zeros, and BLAS beats a CSR product unless most
+# entries are zero.
+SPARSE_MIN_ENTRIES = 4096
+SPARSE_MAX_FILL = 8
+
 
 @dataclass
 class _Neuron:
@@ -38,10 +49,9 @@ class _Neuron:
 
 
 class NetBuilder:
-    def __init__(self, input_dim: int, kind: NetworkKind, sparse: bool = False):
+    def __init__(self, input_dim: int, kind: NetworkKind):
         self.input_dim = int(input_dim)
         self.kind = kind
-        self.sparse = sparse
         self.layers: list[list[_Neuron]] = []
         self._by_handle: dict[int, _Neuron] = {}
         self._out_rows: list[dict[int, float]] | None = None
@@ -181,8 +191,10 @@ class NetBuilder:
             W = self._pack(rows_w, (n_out, n_in))
             V = None
             if self.kind is NetworkKind.SKIP and 1 <= layer_idx <= L - 1:
-                V = self._pack(rows_v, (n_out, self.input_dim))
-                skip_counts.append(len({r for r, _, w in rows_v if w != 0.0}))
+                tapped = len({r for r, _, w in rows_v if w != 0.0})
+                if tapped:
+                    V = self._pack(rows_v, (n_out, self.input_dim))
+                skip_counts.append(tapped)
             # builder biases are additive constants; stages compute W h + V x - b
             layer_params.append(LayerParams(W, -bias, V))
 
@@ -197,17 +209,15 @@ class NetBuilder:
                   for label, h in self.probes.items()}
         return net, probes
 
-    def _pack(self, triples, shape):
-        if self.sparse:
-            if triples:
-                r, c, v = zip(*triples)
-            else:
-                r, c, v = (), (), ()
-            return sp.csr_matrix(
-                sp.coo_matrix((np.array(v, dtype=float),
-                               (np.array(r, dtype=int), np.array(c, dtype=int))),
-                              shape=shape))
+    @staticmethod
+    def _pack(triples, shape):
+        """The matrix summing the (row, column, value) triples, stored by
+        the module's storage rule."""
+        r, c, v = zip(*triples) if triples else ((), (), ())
+        r, c, v = np.array(r, dtype=int), np.array(c, dtype=int), np.array(v, dtype=float)
+        entries = shape[0] * shape[1]
+        if entries >= SPARSE_MIN_ENTRIES and np.count_nonzero(v) * SPARSE_MAX_FILL <= entries:
+            return sp.csr_matrix(sp.coo_matrix((v, (r, c)), shape=shape))
         M = np.zeros(shape)
-        for r, c, v in triples:
-            M[r, c] += v
+        np.add.at(M, (r, c), v)
         return M

@@ -204,11 +204,9 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
     tables = _quantized_bit_tables(config, geom, q)
     pairs = [(alpha, ell) for alpha in alphas for ell in range(1, q + 1)]
     d = config.d
-    J, K, R = geom.sizes
 
     if kind == "skip":
-        est_width = d * q + (6 * K + 5) * len(pairs)
-        nb = NetBuilder(d, NetworkKind.SKIP, sparse=est_width > 300)
+        nb = NetBuilder(d, NetworkKind.SKIP)
         digits = grow_radix_readouts(nb, (2,) * q, coords=range(d))
         carry = [digits[(i, ell, 1)] for i in range(d) for ell in range(1, q + 1)]
         bits = [carry[i * q + (lev - 1)] for i in range(d) for lev in range(1, levels + 1)]
@@ -218,8 +216,7 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
         eta_handles = {pair: nb.step({h: 1.0 for h in group}, bias=-0.5)
                        for pair, group in zip(pairs, groups)}
     else:
-        est_width = d * q + len(pairs) + d * levels + max(2 ** (config.m * d), 3 * K + 1)
-        nb = NetBuilder(d, NetworkKind.LIN, sparse=est_width > 300)
+        nb = NetBuilder(d, NetworkKind.LIN)
         digits = grow_binary_bits_lin(nb, q, coords=range(d))
         carry = [digits[(i, ell)] for i in range(d) for ell in range(1, q + 1)]
         pending: list[int] | None = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import InvalidInputError, ResourceLimitError
 from ..networks import Network, NetworkKind
@@ -164,7 +165,8 @@ class ShatterTemplate:
         vals = np.add.reduceat(labelings[:, self.site_cell] * self.site_coef, self.starts, axis=1)
         for stage in np.unique(self.stage).tolist():
             layer = self.net.layers[stage]
-            W = np.repeat(np.asarray(layer.W)[None], len(labelings), axis=0)
+            W = layer.W.toarray() if sp.issparse(layer.W) else layer.W
+            W = np.repeat(W[None], len(labelings), axis=0)
             b = np.repeat(np.asarray(layer.b)[None], len(labelings), axis=0)
             weight = (self.stage == stage) & (self.col >= 0)
             W[:, self.row[weight], self.col[weight]] += vals[:, weight]

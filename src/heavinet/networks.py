@@ -18,8 +18,9 @@ The step activation fires at zero: ``step(0) = 1``.  Every builder in this
 package relies on that boundary convention.
 
 Weight matrices may be dense ``numpy`` arrays or ``scipy.sparse`` matrices;
-the large emitted constructions use sparse storage, everything else is
-dense.
+the builders pick each one's storage from its shape and nonzero count (see
+``builders.dsl``).  A skip stage without taps may store no ``V`` at all
+(``None``); it reads no input, whatever its budget.
 
 A ``Network`` is valid for its whole life.  Constructing one runs
 ``validate``, the one statement of the rules of each class, and raises
@@ -280,7 +281,8 @@ def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
         if pending is not None and pending[0] == i:
             _, W, b = pending
             pending = next(filled, None)
-        z = W @ h
+        # scipy multiplies 2-D operands only: one labeling at a time
+        z = np.stack([W @ g for g in h]) if h.ndim == 3 and sp.issparse(W) else W @ h
         if layer.V is not None:
             z += layer.V @ x
         z -= np.asarray(b)[..., None]

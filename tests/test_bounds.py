@@ -1,9 +1,12 @@
 """Closed-form calculators against hand-computed values."""
 
+import math
+
 import pytest
 
 from heavinet import Architecture, InvalidInputError, NetworkKind
 from heavinet.analysis import approx_lower_bound, bound_report, piece_bound, vc_upper_bound
+from heavinet.analysis.bounds import _layer_ceilings
 
 
 def test_piece_bounds():
@@ -21,6 +24,28 @@ def test_approx_lower_bound():
     assert approx_lower_bound((2.0, 2.0), plain) == 0.0
     with pytest.raises(InvalidInputError):
         approx_lower_bound((1.0, 0.0), plain)
+
+
+def test_layer_ceilings_are_the_prefix_products():
+    archs = [Architecture(NetworkKind.PLAIN, (1, 3, 7, 7, 1)),
+             Architecture(NetworkKind.SKIP, (2, 5, 4, 6, 3, 1), (1, 0, 3)),
+             Architecture(NetworkKind.LIN, (1, 2, 3, 9, 1), (), 2),
+             Architecture(NetworkKind.SKIP, (1, *[40] * 300, 1), (7,) * 299)]
+    for arch in archs:
+        hidden, L = arch.hidden_widths, arch.depth
+        if arch.kind is NetworkKind.LIN:
+            factors = [p + 1 for p in hidden]
+        else:
+            taps = arch.skip_counts or (0,) * (L - 1)
+            factors = [hidden[0] + 1, *(s + 1 for s in taps)]
+        assert _layer_ceilings(arch) == [math.prod(factors[:k]) for k in range(1, L + 1)]
+
+
+def test_approx_lower_bound_past_the_float_range_is_zero():
+    huge = Architecture(NetworkKind.SKIP, (1, *[1000] * 2000, 1), (1,) * 1999)
+    assert piece_bound(huge) == 1001 * 2 ** 1999
+    assert approx_lower_bound((0.0, 1.0), huge) == 0.0
+    assert approx_lower_bound((0.0, 3.0), Architecture(NetworkKind.PLAIN, (1, 2, 1))) == 0.5
 
 
 def test_vc_upper_hand_values():

@@ -80,6 +80,15 @@ def test_bounds_hand_value(capsys):
     assert ",38400.0," in out.splitlines()[1]
 
 
+def test_bounds_past_the_float_range(capsys):
+    code, out = _run(capsys, "bounds", "--kind", "skip", "--L", "2000", "--p", "1000", "--s", "1")
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[:5] == ["skip", "2000", "1000", "1", "1"]
+    assert int(row[5]) == 1001 * 2 ** 1999
+    assert float(row[6]) > 0 and row[7] == "0.0"
+
+
 @pytest.mark.parametrize("argv", [
     ["--kind", "skip", "--L", "3", "--p", "2", "--s", "-1"],
     ["--kind", "lin", "--L", "3", "--p", "2", "--s", "-1"],

@@ -111,7 +111,7 @@ def _points(d, rng):
 
 
 def _skip_decoder():
-    # J + K + 1 = 513 cells: the first skip decoder the builder stores sparse
+    # J + K + 1 = 513 cells: stages big and empty enough to be stored as CSR
     geom = CellGeometry("skip", 1, 8, 0)
     return decoder("skip", BitTable(geom, np.random.default_rng(3).integers(0, 2, geom.sizes)))
 
@@ -120,7 +120,7 @@ ROUND_TRIPS = {
     "skip holder": (lambda: holder_approximator("skip", TARGETS["x2"].holder_config(2, 0, None)),
                     True),
     "skip decoder": (_skip_decoder, True),
-    # the shattering nets are built dense, so they are written dense
+    # a small shattering net has no stage big and empty enough for CSR
     "skip shatter net": (lambda: shattering_net("skip", 1, 1, 0, [1, 0, 1, 1, 0, 0, 1, 0])[0],
                          False),
     "dense square": (lambda: square_approximator(4, 2, (2, 2, 0)), False),

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from heavinet import ResourceLimitError, evaluate_batch, validate
 from heavinet.analysis import shatter_verify, vc_upper_bound
@@ -142,6 +143,18 @@ def test_filled_template_is_the_literal_build(geometry):
             if mine.V is not None:
                 assert np.asarray(mine.V).tobytes() == np.asarray(theirs.V).tobytes()
         assert np.array_equal(outputs[n], evaluate_batch(net, points[:, None])[:, 0])
+
+
+def test_template_with_csr_stages_matches_the_literal_builds():
+    # skip (6, 0) stores its payload stage and the stage after it as CSR,
+    # so the filled pass multiplies a sparse matrix into per-labeling activations
+    template = shatter_template("skip", 6, 0)
+    assert [s for s, layer in enumerate(template.net.layers) if sp.issparse(layer.W)] == [13, 14]
+    lams = np.random.default_rng(8).integers(0, 2, (8, len(template.points)))
+    outputs = labeling_outputs(template, lams)
+    for lam, out in zip(lams, outputs):
+        literal, points = shattering_net("skip", 6, 0, 0, lam)
+        assert out.tobytes() == evaluate_batch(literal.net, points[:, None])[:, 0].tobytes()
 
 
 def test_complemented_labels_fail_every_labeling(monkeypatch):
