@@ -15,6 +15,12 @@ from ..networks import Architecture, NetworkKind, arch_violations
 
 __all__ = ["piece_bound", "approx_lower_bound", "vc_upper_bound", "BoundReport", "bound_report"]
 
+# The CLI refuses architectures past these before making one: a lin piece
+# bound at both caps has about 60 000 digits and prints in a fraction of a
+# second.
+MAX_DEPTH = 10_000
+MAX_WIDTH = 1_000_000
+
 
 def _check(arch: Architecture) -> None:
     violations = arch_violations(arch)
@@ -22,25 +28,30 @@ def _check(arch: Architecture) -> None:
         raise InvalidInputError(f"invalid {violations[0]}")
 
 
-def _layer_ceilings(arch: Architecture) -> list[int]:
-    """Most regions a segment restriction can have after each hidden layer
-    l = 1..L of a valid architecture: plain p_1 + 1; skip (p_1 + 1)
-    prod_{2<=k<=l} (s_k + 1); lin prod_{k<=l} (p_k + 1) over the step widths.
-    A plain network is a skip network without taps."""
+def _ceiling_factors(arch: Architecture) -> list[int]:
+    """The factor by which each hidden layer l = 1..L of a valid
+    architecture can multiply the regions of a segment restriction: plain
+    p_1 + 1, then 1; skip p_1 + 1, then s_l + 1; lin p_l + 1 over the step
+    widths.  A plain network is a skip network without taps."""
     hidden = arch.hidden_widths
     if arch.kind is NetworkKind.LIN:
-        factors = [p + 1 for p in hidden]
-    else:
-        taps = arch.skip_counts if arch.kind is NetworkKind.SKIP else (0,) * (arch.depth - 1)
-        factors = [hidden[0] + 1, *(s + 1 for s in taps)]
-    return list(accumulate(factors, operator.mul))
+        return [p + 1 for p in hidden]
+    taps = arch.skip_counts if arch.kind is NetworkKind.SKIP else (0,) * (arch.depth - 1)
+    return [hidden[0] + 1, *(s + 1 for s in taps)]
+
+
+def _layer_ceilings(arch: Architecture) -> list[int]:
+    """Most regions a segment restriction can have after each hidden layer:
+    the running products of ``_ceiling_factors``."""
+    return list(accumulate(_ceiling_factors(arch), operator.mul))
 
 
 def piece_bound(arch: Architecture) -> int:
     """Most pieces any segment restriction of this architecture can have:
-    the ceiling after its last hidden layer (see ``_layer_ceilings``)."""
+    the ceiling after its last hidden layer, the product of every factor
+    of ``_ceiling_factors`` (no ceiling before it is kept)."""
     _check(arch)
-    return _layer_ceilings(arch)[-1]
+    return math.prod(_ceiling_factors(arch))
 
 
 def approx_lower_bound(value_range: tuple[float, float], arch: Architecture) -> float:
@@ -49,9 +60,9 @@ def approx_lower_bound(value_range: tuple[float, float], arch: Architecture) -> 
     exactly, so a piece bound past the float range gives 0.0, not an
     overflow."""
     lo, hi = float(value_range[0]), float(value_range[1])
-    if hi < lo:
-        raise InvalidInputError("value range must satisfy sup >= inf")
-    return float(Fraction(hi - lo) / (2 * piece_bound(arch)))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise InvalidInputError("value range must be finite and satisfy sup >= inf")
+    return float((Fraction(hi) - Fraction(lo)) / (2 * piece_bound(arch)))
 
 
 def _rectangular(arch: Architecture) -> tuple[int, int, int] | None:

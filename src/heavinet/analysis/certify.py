@@ -57,8 +57,9 @@ class ShatterCertificate:
 
 
 # float64 elements per chunk tensor (128 KiB).  Each chunk of labelings is one
-# tensor pass whose activations and filled weights stay within this size;
-# larger chunks were no faster and raised peak memory.
+# tensor pass whose activations and filled weights stay within this size, or
+# one labeling's filled weights when those alone are larger; larger chunks
+# were no faster and raised peak memory.
 LABELING_CHUNK_ELEMENTS = 1 << 14
 
 
@@ -113,8 +114,10 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     loop of every forward pass, starting from the digit-extractor prefix
     computed once for all of them.  A chunk holds at most
     ``LABELING_CHUNK_ELEMENTS`` float64 values per activation or weight
-    tensor (128 KiB), splitting the points as well when one labeling needs
-    more, so memory stays flat however many labelings there are;
+    tensor (128 KiB), splitting the points as well when one labeling's
+    activations need more.  One labeling's filled weights can alone exceed
+    the cap (129 x 129 at skip (6, 0)); such a chunk holds that one
+    labeling.  So memory stays flat however many labelings there are;
     the exhaustive 2^16-labeling certificate of ``("skip", 1, 2)`` runs in
     about a second.  The filled weights are bit-identical to the literal
     ``shattering_net`` build of each labeling.

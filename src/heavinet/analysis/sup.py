@@ -26,6 +26,12 @@ class SupErrorResult:
         return self.value
 
 
+def check_grid_size(total: int) -> None:
+    """Refuse a grid of more than ``TOTAL_POINT_CAP`` points."""
+    if total > TOTAL_POINT_CAP:
+        raise InvalidInputError(f"grid of {total} points exceeds the {TOTAL_POINT_CAP} cap")
+
+
 def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]:
     """Per-axis coordinates: a uniform grid on [0, 1] (endpoints included)
     plus any declared breakpoints, deduplicated and sorted."""
@@ -69,8 +75,7 @@ def sup_error(net: Network, f0, per_axis: int | None = None,
     total = 1
     for a in axes:
         total *= len(a)
-    if total > TOTAL_POINT_CAP:
-        raise InvalidInputError(f"grid of {total} points exceeds the {TOTAL_POINT_CAP} cap")
+    check_grid_size(total)
 
     best_val = -1.0
     best_pt = None

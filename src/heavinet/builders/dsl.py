@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import InvalidInputError
 from ..networks import Architecture, LayerParams, Network, NetworkKind
@@ -217,6 +216,7 @@ class NetBuilder:
         r, c, v = np.array(r, dtype=int), np.array(c, dtype=int), np.array(v, dtype=float)
         entries = shape[0] * shape[1]
         if entries >= SPARSE_MIN_ENTRIES and np.count_nonzero(v) * SPARSE_MAX_FILL <= entries:
+            import scipy.sparse as sp
             return sp.csr_matrix(sp.coo_matrix((v, (r, c)), shape=shape))
         M = np.zeros(shape)
         np.add.at(M, (r, c), v)

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import InvalidInputError, ResourceLimitError
-from ..networks import Network, NetworkKind
+from ..networks import Network, NetworkKind, issparse
 from .bits import grow_binary_bits_lin, grow_radix_readouts
 from .built import BuiltNetwork, Construction
 from .decoders import BitTable, CellGeometry, grow_lin_decoder, grow_skip_decoder_bank
@@ -165,7 +164,7 @@ class ShatterTemplate:
         vals = np.add.reduceat(labelings[:, self.site_cell] * self.site_coef, self.starts, axis=1)
         for stage in np.unique(self.stage).tolist():
             layer = self.net.layers[stage]
-            W = layer.W.toarray() if sp.issparse(layer.W) else layer.W
+            W = layer.W.toarray() if issparse(layer.W) else layer.W
             W = np.repeat(W[None], len(labelings), axis=0)
             b = np.repeat(np.asarray(layer.b)[None], len(labelings), axis=0)
             weight = (self.stage == stage) & (self.col >= 0)

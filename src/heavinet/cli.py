@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .analysis import (
     shatter_verify,
     sup_error,
 )
-from .analysis.sup import GRID_CHUNK, TOTAL_POINT_CAP, grid_rows
+from .analysis.bounds import MAX_DEPTH, MAX_WIDTH
+from .analysis.sup import GRID_CHUNK, check_grid_size, grid_rows
 from .builders import BitTable, CellGeometry
 from .errors import (
     InvalidInputError,
@@ -170,8 +172,7 @@ def _cmd_eval(args) -> int:
         if n < 1:
             raise InvalidInputError("--grid needs at least one interval")
         total = (n + 1) ** d
-        if total > TOTAL_POINT_CAP:
-            raise InvalidInputError("grid too large; cap is 4e6 points")
+        check_grid_size(total)
         axes = [np.arange(n + 1) / n for _ in range(d)]
         grid = (grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
                 for lo in range(0, total, GRID_CHUNK))
@@ -201,6 +202,9 @@ def _cmd_pieces(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # the grid size follows from the arguments: refuse it before any build
+    d = 1 if args.what == "square" else TARGETS[args.target].d
+    check_grid_size((args.grid + 1) ** d)
     rows = []
     worst_ratio = 0.0
     if args.what == "square":
@@ -242,6 +246,11 @@ def _cmd_shatter(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .networks import Architecture
+    if args.L > MAX_DEPTH:
+        raise ResourceLimitError(f"bounds: depth {args.L} exceeds heavinet's cap of {MAX_DEPTH}")
+    if max(args.p, args.s, args.d) > MAX_WIDTH:
+        raise ResourceLimitError(
+            f"bounds: width {max(args.p, args.s, args.d)} exceeds heavinet's cap of {MAX_WIDTH}")
     widths = (args.d, *([args.p] * args.L), 1)
     if args.kind == "plain":
         arch = Architecture(NetworkKind.PLAIN, widths)
@@ -252,7 +261,7 @@ def _cmd_bounds(args) -> int:
     rep = bound_report(arch, (args.lo, args.hi))
     lines = ["kind,L,p,s,d,piece_bound,vc_upper_bound,approx_lower_bound",
              ",".join([rep.kind, str(rep.depth), str(args.p), str(args.s), str(args.d),
-                       str(rep.piece_bound),
+                       str(Decimal(rep.piece_bound)),  # every digit, past str's limit
                        repr(rep.vc_upper_bound) if rep.vc_upper_bound is not None
                        else "precondition-unmet",
                        repr(rep.approx_lower_bound)])]

@@ -20,7 +20,10 @@ package relies on that boundary convention.
 Weight matrices may be dense ``numpy`` arrays or ``scipy.sparse`` matrices;
 the builders pick each one's storage from its shape and nonzero count (see
 ``builders.dsl``).  A skip stage without taps may store no ``V`` at all
-(``None``); it reads no input, whatever its budget.
+(``None``); it reads no input, whatever its budget.  No module of this
+package imports ``scipy.sparse`` at top level: it is imported where a
+sparse matrix is first made or read, and ``issparse`` asks it only once it
+is loaded, so a run that meets only dense matrices never loads it.
 
 A ``Network`` is valid for its whole life.  Constructing one runs
 ``validate``, the one statement of the rules of each class, and raises
@@ -34,10 +37,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidInputError, InvalidNetworkError
 
@@ -52,6 +55,7 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "embed",
+    "issparse",
 ]
 
 
@@ -149,13 +153,20 @@ class ActivationTrace:
 
 # -- matrix payload helpers (dense ndarray or scipy.sparse) -----------------
 
+def issparse(M) -> bool:
+    """Whether ``M`` is a ``scipy.sparse`` matrix, without importing scipy:
+    no sparse matrix exists before ``scipy.sparse`` is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(M)
+
+
 def mat_shape(M) -> tuple[int, int]:
     return tuple(M.shape)
 
 
 def mat_nonzero_rows(M) -> int:
     """Rows with at least one nonzero entry (explicit zeros do not count)."""
-    if sp.issparse(M):
+    if issparse(M):
         csr = M.tocsr()
         counts = np.zeros(csr.shape[0], dtype=bool)
         rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
@@ -166,7 +177,7 @@ def mat_nonzero_rows(M) -> int:
 
 
 def mat_all_finite(M) -> bool:
-    if sp.issparse(M):
+    if issparse(M):
         return bool(np.all(np.isfinite(M.tocoo().data)))
     return bool(np.all(np.isfinite(M)))
 
@@ -282,17 +293,24 @@ def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
             _, W, b = pending
             pending = next(filled, None)
         # scipy multiplies 2-D operands only: one labeling at a time
-        z = np.stack([W @ g for g in h]) if h.ndim == 3 and sp.issparse(W) else W @ h
+        z = np.stack([W @ g for g in h]) if h.ndim == 3 and issparse(W) else W @ h
         if layer.V is not None:
             z += layer.V @ x
-        z -= np.asarray(b)[..., None]
+        b = np.asarray(b)[..., None]
         if i < L:
-            # step(0) = 1; the identity neurons of a lin layer stay as they are
+            # step(0) = 1, compared as z >= b in one pass: the rounded z - b
+            # keeps the sign of the exact one and is 0 only when z == b.  The
+            # identity neurons of a lin layer subtract.
             p = step_rows(arch, i)
-            steps = z if p is None else z[..., :p, :]
-            np.greater_equal(steps, 0.0, out=steps)
+            if p is None:
+                np.greater_equal(z, b, out=z)
+            else:
+                z[..., p:, :] -= b[..., p:, :]
+                np.greater_equal(z[..., :p, :], b[..., :p, :], out=z[..., :p, :])
             if trace is not None:
                 trace.append(z)
+        else:
+            z -= b
         h = z
     return h
 
@@ -384,11 +402,15 @@ def carry_input(net: Network, last: int, bias: float) -> tuple[LayerParams, ...]
     for i, layer in enumerate(net.layers):
         W, V, b = layer.W, layer.V, np.asarray(layer.b, dtype=float)
         n_out, n_in = W.shape
-        sparse = sp.issparse(W)
-        eye, zeros = (sp.identity(d), sp.csr_matrix) if sparse else (np.eye(d), np.zeros)
+        sparse = issparse(W)
+        if sparse:
+            import scipy.sparse as sp
+            eye, zeros = sp.identity(d), sp.csr_matrix
+        else:
+            eye, zeros = np.eye(d), np.zeros
         if V is None:
             V = zeros((n_out, d))
-        elif not sparse and sp.issparse(V):
+        elif not sparse and issparse(V):
             V = V.toarray()
         grid = [[W, V] if 1 <= i <= last else [W]]
         if i < last:

@@ -35,11 +35,10 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import scipy.sparse as sp
 
 from .builders.built import BuiltNetwork, Construction, Guarantee
 from .errors import ParseError, ResourceLimitError
-from .networks import Architecture, LayerParams, Network, NetworkKind
+from .networks import Architecture, LayerParams, Network, NetworkKind, issparse
 
 __all__ = ["to_document", "from_document"]
 
@@ -52,7 +51,7 @@ MAX_DOCUMENT_PARAMS = 1 << 22
 
 def _matrix_entry(M) -> list | dict:
     """A sparse matrix as its sorted coordinates, a dense one as rows."""
-    if not sp.issparse(M):
+    if not issparse(M):
         return np.asarray(M, dtype=float).tolist()
     csr = M.tocsr(copy=True)
     csr.sum_duplicates()  # sorts the copy in place; the layer stays as it is
@@ -144,7 +143,7 @@ def _indices(obj, bound: int, path: str) -> np.ndarray:
     return idx
 
 
-def _sparse(obj: dict, path: str) -> sp.csr_matrix:
+def _sparse(obj: dict, path: str):
     """A ``{shape, rows, cols, values}`` entry as a CSR matrix."""
     shape = obj.get("shape")
     _expect(_ints(shape) and len(shape) == 2 and min(shape) >= 0
@@ -163,6 +162,7 @@ def _sparse(obj: dict, path: str) -> sp.csr_matrix:
     data = _floats(values, f"{path}.values")
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    import scipy.sparse as sp
     return sp.csr_matrix((data, cols, indptr), shape=(n_rows, n_cols))
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from heavinet import builders
 from heavinet.cli import run
 from heavinet.targets import TARGETS
 
@@ -87,6 +89,42 @@ def test_bounds_past_the_float_range(capsys):
     assert row[:5] == ["skip", "2000", "1000", "1", "1"]
     assert int(row[5]) == 1001 * 2 ** 1999
     assert float(row[6]) > 0 and row[7] == "0.0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kind", "lin", "--L", "100000000", "--p", "100000000", "--s", "1"],
+     "depth 100000000 exceeds heavinet's cap of 10000"),
+    (["--kind", "skip", "--L", "20000", "--p", "10", "--s", "1"],
+     "depth 20000 exceeds heavinet's cap of 10000"),
+    (["--kind", "plain", "--L", "3", "--p", "1000001"],
+     "width 1000001 exceeds heavinet's cap of 1000000"),
+    (["--kind", "plain", "--L", "3", "--p", "2", "--d", "1000001"],
+     "width 1000001 exceeds heavinet's cap of 1000000"),
+])
+def test_bounds_refuses_oversized_architectures_before_making_them(capsys, argv, message):
+    code = run(["bounds", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: bounds: {message}\n"
+
+
+def test_bounds_prints_every_digit_at_the_caps(capsys):
+    # 1000001^10000 has 60 001 digits, past Python's int-to-str limit
+    code, out = _run(capsys, "bounds", "--kind", "lin", "--L", "10000", "--p", "1000000",
+                     "--s", "1000000", "--d", "1000000")
+    assert code == 0
+    digits = out.splitlines()[1].split(",")[5]
+    assert len(digits) == math.floor(10000 * math.log10(1000001)) + 1
+    assert digits[-12:] == f"{pow(1000001, 10000, 10 ** 12):012d}"
+
+
+def test_bounds_value_range_is_finite_and_exact(capsys):
+    argv = ["bounds", "--kind", "skip", "--L", "3", "--p", "2", "--s", "1"]
+    assert run([*argv, "--hi", "inf"]) == 2
+    assert capsys.readouterr().err == "error: value range must be finite and satisfy sup >= inf\n"
+    # the span overflows a float; the exact difference does not
+    code, out = _run(capsys, *argv, "--lo=-1e308", "--hi", "1e308")
+    assert code == 0 and out.splitlines()[1].endswith(f",{1e308 / 12!r}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -239,6 +277,21 @@ def test_round_trip_reload_evaluates_identically(tmp_path, capsys):
     first = evaluate_batch(loaded.net, X)
     again = from_document(net.read_text())
     assert np.array_equal(first, evaluate_batch(again.net, X))
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["holder", "--kind", "skip", "--target", "x1x2", "--m", "3", "--n", "3"], 2001 ** 2),
+    (["square", "--L", "2..3", "--s", "1", "--grid", "4000000"], 4000001),
+])
+def test_sweep_refuses_the_grid_before_building(monkeypatch, capsys, argv, points):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the grid was checked")
+    monkeypatch.setattr(builders, "holder_approximator", no_build)
+    monkeypatch.setattr(builders, "square_approximator", no_build)
+    code = run(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: grid of {points} points exceeds the 4000000 cap\n"
 
 
 def test_sweep_holder_table(capsys):

@@ -19,7 +19,7 @@ from heavinet import (
     validate,
 )
 from heavinet.builders import holder_approximator
-from heavinet.networks import _forward
+from heavinet.networks import _forward, issparse, step_rows
 from heavinet.targets import TARGETS
 from netgen import random_network
 
@@ -209,3 +209,40 @@ def test_sparse_skip_network_embeds_sparse(target, m, n):
         assert mine.V is None
     X = np.linspace(0, 1, 20001)[:, None]
     assert evaluate_batch(lifted, X).tobytes() == evaluate_batch(net, X).tobytes()
+
+
+def test_issparse():
+    assert issparse(sp.csr_matrix(np.eye(3)))
+    assert not issparse(np.eye(3))
+    assert not issparse([[1.0, 0.0], [0.0, 1.0]])
+
+
+def _subtract_then_compare(net, X):
+    """The forward pass written out: every stage subtracts its bias, then
+    the step rows compare with 0."""
+    h = x = X.T
+    for i, layer in enumerate(net.layers):
+        z = layer.W @ h
+        if layer.V is not None:
+            z += layer.V @ x
+        z -= layer.b[:, None]
+        if i < net.arch.depth:
+            p = step_rows(net.arch, i)
+            z[:p] = z[:p] >= 0.0
+        h = z
+    return h.T
+
+
+def test_step_compare_is_subtract_then_compare():
+    # quarter-integer weights on an eighth grid put many pre-activations
+    # exactly on their threshold, where z >= b and z - b >= 0 must agree
+    rng = np.random.default_rng(8)
+    for kind in NetworkKind:
+        for _ in range(20):
+            net = random_network(kind, rng)
+            net = Network(net.arch, tuple(
+                LayerParams(np.round(layer.W * 4) / 4, np.round(layer.b * 4) / 4,
+                            None if layer.V is None else np.round(layer.V * 4) / 4)
+                for layer in net.layers))
+            X = rng.integers(-8, 17, (60, net.arch.input_dim)) / 8
+            assert evaluate_batch(net, X).tobytes() == _subtract_then_compare(net, X).tobytes()
