@@ -1,10 +1,13 @@
 """Piece structure of a network restricted to a segment.
 
 Both analyses share one layer walk, ``_propagate``, that refines a
-partition of the segment parameter t into regions: within a region every
-pre-activation is affine in t, each step neuron splits it at most once,
-identity neurons carry affine coefficient pairs, and the region count
-stays within the paper's layer-wise ceiling.  Only the split differs.
+partition of the segment parameter t into regions.  Within a region every
+neuron is affine in t, so a level is one (intercept, slope) pair per
+neuron and region: the inputs and the identity neurons of a lin network
+carry a slope, a step neuron's bit is constant.  A stage maps the pairs
+to its pre-activations, each step neuron splits a region at most once,
+and the region count stays within the paper's layer-wise ceiling.  Only
+the split differs.
 
 ``exact_pieces`` splits at the exact roots of the affine pre-activations.
 Piece values are read from direct evaluation at representative
@@ -41,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..networks import Network, NetworkKind, evaluate_batch, step_rows
+from ..networks import Network, evaluate_batch, step_rows
 from .bounds import _layer_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
@@ -96,65 +99,42 @@ class SegmentPartition:
         return self.values[idx]
 
 
-def _layer_affine(net: Network, i: int, B: np.ndarray, U, Vl,
-                  x1: np.ndarray, dx: np.ndarray, P: int):
-    """Intercepts and slopes of layer i's pre-activations on each piece."""
-    layer = net.layers[i]
-    W = layer.W
-    if i == 0:
-        a = np.asarray(W @ x1) - np.asarray(layer.b)
-        s = np.asarray(W @ dx)
-        return np.repeat(a[:, None], P, axis=1), np.repeat(s[:, None], P, axis=1)
-    if net.arch.kind is NetworkKind.LIN and U is not None:
-        H = np.concatenate([B, U], axis=0)
-        A = np.asarray(W @ H) - np.asarray(layer.b)[:, None]
-        S = np.asarray(W[:, B.shape[0]:] @ Vl)
-    else:
-        A = np.asarray(W @ B) - np.asarray(layer.b)[:, None]
-        S = np.zeros_like(A)
-    if layer.V is not None:
-        A = A + np.asarray(layer.V @ x1)[:, None]
-        S = S + np.asarray(layer.V @ dx)[:, None]
-    return A, S
-
-
-def _split_step_lin(net: Network, i: int, A: np.ndarray, S: np.ndarray):
-    """Slice pre-activation rows into the step block and the identity block."""
-    p = step_rows(net.arch, i)
-    if p is None:
-        return A, S, None, None
-    return A[:p], S[:p], A[p:], S[p:]
-
-
 def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray, split):
     """Final region boundaries and the last hidden layer's bits per region.
 
-    ``split(A_step, S_step, bounds)`` gets the step pre-activations (rows)
-    on each region (columns) and returns refined boundaries plus one
-    parameter t per new region, where its parent's state is read.  After
-    each layer the region count may not exceed the paper's layer-wise
-    ceiling, ``bounds._layer_ceilings``.
+    Each level is carried as intercepts ``H`` (every row) and slopes ``Hs``
+    (the trailing rows that have one), a column per region: on region r
+    row j is ``H[j, r] + t * Hs[j - len(H) + len(Hs), r]``.  The input
+    level is ``x1, x2 - x1``; a step row carries its bit (no slope), an
+    identity row its affine pre-activation.  ``split(A, S, bounds)`` gets
+    the intercepts and slopes of a stage's step pre-activations and returns
+    refined boundaries plus one parameter t per new region, where its
+    parent's state is read.  After each stage the region count may not
+    exceed the paper's layer-wise ceiling, ``bounds._layer_ceilings``.
     """
     arch = net.arch
     dx = x2 - x1
-    B = np.zeros((0, 1))
-    U = Vl = None
+    H, Hs = x1[:, None], dx[:, None]
     ceilings = _layer_ceilings(arch)
     for i in range(arch.depth):
-        A, S = _layer_affine(net, i, B, U, Vl, x1, dx, len(bounds) - 1)
-        A_step, S_step, A_lin, S_lin = _split_step_lin(net, i, A, S)
-        new, ts = split(A_step, S_step, bounds)
+        layer = net.layers[i]
+        A = np.asarray(layer.W @ H) - np.asarray(layer.b)[:, None]
+        # the slope product runs over the slope-carrying columns alone
+        S = np.asarray(layer.W[:, len(H) - len(Hs):] @ Hs) if len(Hs) \
+            else np.zeros_like(A)
+        if layer.V is not None:
+            A = A + np.asarray(layer.V @ x1)[:, None]
+            S = S + np.asarray(layer.V @ dx)[:, None]
+        p = step_rows(arch, i) or len(A)
+        new, ts = split(A[:p], S[:p], bounds)
         parent = np.searchsorted(bounds, new[:-1], side="right") - 1
-        B = (A_step[:, parent] + S_step[:, parent] * ts >= 0.0).astype(float)
-        if A_lin is not None:
-            U, Vl = A_lin[:, parent].copy(), S_lin[:, parent].copy()
-        else:
-            U = Vl = None
+        H, Hs = A[:, parent], S[p:, parent]
+        H[:p] = H[:p] + S[:p, parent] * ts >= 0.0
         bounds = new
         if len(bounds) - 1 > ceilings[i]:
             raise AssertionError(
                 f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceilings[i]}")
-    return bounds, B
+    return bounds, H
 
 
 def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
@@ -204,6 +184,8 @@ def _segment(net: Network, x1, x2) -> tuple[np.ndarray, np.ndarray]:
 def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
     """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
     x1, x2 = _segment(net, x1, x2)
+    # kept although the general path handles it: a one-row evaluation
+    # rounds differently from the traced batch below, in the last bit
     if np.array_equal(x1, x2):
         v = evaluate_batch(net, x1[None, :])[0]
         return SegmentPartition(x1, x2, np.array([]), np.array([], dtype=int), v[None, :])
@@ -230,42 +212,38 @@ def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
     # (not the adjacent midpoint: sameness is not transitive)
     inner = cuts[1:-1]
     point_values: dict[float, np.ndarray] = {}
-    if P == 1:
-        piece_cols = np.zeros(1, dtype=np.int64)
-        bps, flags, values = inner, np.zeros(0, dtype=int), out[piece_cols]
-    else:
-        keep = np.empty(P, dtype=bool)
-        keep[0] = True
-        keep[1:] = ~same(slice(0, P - 1), slice(1, P))
-        piece_cols = np.flatnonzero(keep)
-        bp_cols = P + np.flatnonzero(keep[1:])
-        bps, values = inner[keep[1:]], out[piece_cols]
-        # +1: the breakpoint takes the right piece's value, -1: the left's, 0: neither
-        right = same(bp_cols, piece_cols[1:])
-        flags = right.astype(int) - (same(bp_cols, piece_cols[:-1]) & ~right)
-        for k in np.flatnonzero(flags == 0):
-            point_values[float(bps[k])] = out[bp_cols[k]]
+    keep = np.empty(P, dtype=bool)
+    keep[0] = True
+    keep[1:] = ~same(slice(0, P - 1), slice(1, P))
+    piece_cols = np.flatnonzero(keep)
+    bp_cols = P + np.flatnonzero(keep[1:])
+    bps, values = inner[keep[1:]], out[piece_cols]
+    # +1: the breakpoint takes the right piece's value, -1: the left's, 0: neither
+    right = same(bp_cols, piece_cols[1:])
+    flags = right.astype(int) - (same(bp_cols, piece_cols[:-1]) & ~right)
+    for k in np.flatnonzero(flags == 0):
+        point_values[float(bps[k])] = out[bp_cols[k]]
 
-        # crossings swallowed by merging can still hide a single-point
-        # piece (opposite inclusion sides meeting at one parameter)
-        swallowed = np.flatnonzero(~keep[1:])
-        if swallowed.size:
-            piece = np.searchsorted(bps, inner[swallowed])
-            hidden = ~same(P + swallowed, piece_cols[piece])
-            if hidden.any():
-                piece, swallowed = piece[hidden], swallowed[hidden]
-                bps = np.insert(bps, piece, inner[swallowed])
-                flags = np.insert(flags, piece, 0)
-                values = np.insert(values, piece + 1, values[piece], axis=0)
-                point_values.update(zip(inner[swallowed].tolist(), out[P + swallowed]))
+    # crossings swallowed by merging can still hide a single-point
+    # piece (opposite inclusion sides meeting at one parameter)
+    swallowed = np.flatnonzero(~keep[1:])
+    if swallowed.size:
+        piece = np.searchsorted(bps, inner[swallowed])
+        hidden = ~same(P + swallowed, piece_cols[piece])
+        if hidden.any():
+            piece, swallowed = piece[hidden], swallowed[hidden]
+            bps = np.insert(bps, piece, inner[swallowed])
+            flags = np.insert(flags, piece, 0)
+            values = np.insert(values, piece + 1, values[piece], axis=0)
+            point_values.update(zip(inner[swallowed].tolist(), out[P + swallowed]))
 
     # endpoint values differing from the adjoining interior (a crossing at
     # exactly t=0 or 1) are single-point pieces without a breakpoint entry;
     # value_at checks point_values first
-    if not same(P + C, piece_cols[0]):
-        point_values[0.0] = out[P + C]
-    if not same(P + C + 1, piece_cols[-1]):
-        point_values[1.0] = out[P + C + 1]
+    for t, col, joined in zip((0.0, 1.0), (P + C, P + C + 1),
+                              same(slice(P + C, None), piece_cols[[0, -1]])):
+        if not joined:
+            point_values[t] = out[col]
 
     return SegmentPartition(x1, x2, bps, flags, values, point_values)
 

@@ -39,7 +39,7 @@ from .analysis import (
     sup_error,
 )
 from .analysis.bounds import MAX_DEPTH, MAX_WIDTH
-from .analysis.sup import GRID_CHUNK, check_grid_size, grid_rows
+from .analysis.sup import GRID_CHUNK, axis_grid, check_grid_size, grid_rows
 from .builders import BitTable, CellGeometry
 from .errors import (
     InvalidInputError,
@@ -211,12 +211,16 @@ def _cmd_sweep(args) -> int:
         rows.append("L,s,bound,measured_sup_error,ratio")
         for L in _range(args.L):
             for s in _range(args.s):
+                # the approximator's cells have edges k/S, S = (s+1)^(L-1); they
+                # join the grid when S <= 100 000 (17 factors of at least 2
+                # exceed that), and the grid is checked before the build
+                S = (s + 1) ** min(L - 1, 17) if L >= 2 and s >= 1 else 0
+                axes = axis_grid(1, args.grid,
+                                 [k / S for k in range(S + 1)] if 0 < S <= 100_000 else [])
+                check_grid_size(len(axes[0]))
                 built = builders.square_approximator(L, s, (s,) * (L - 2) + (0,))
                 bound = built.guarantee.sup_error_bound
-                S = round(1.0 / bound)
-                extra = [k / S for k in range(S + 1)] if S <= 100_000 else []
-                res = sup_error(built.net, lambda X: X[:, 0] ** 2,
-                                per_axis=args.grid, extra=extra)
+                res = sup_error(built.net, lambda X: X[:, 0] ** 2, axes=axes)
                 ratio = res.value / bound
                 worst_ratio = max(worst_ratio, ratio)
                 rows.append(f"{L},{s},{bound!r},{res.value!r},{ratio!r}")
@@ -246,6 +250,8 @@ def _cmd_shatter(args) -> int:
 
 def _cmd_bounds(args) -> int:
     from .networks import Architecture
+    if args.L < 1:
+        raise InvalidInputError(f"bounds: depth {args.L} < 1")
     if args.L > MAX_DEPTH:
         raise ResourceLimitError(f"bounds: depth {args.L} exceeds heavinet's cap of {MAX_DEPTH}")
     if max(args.p, args.s, args.d) > MAX_WIDTH:

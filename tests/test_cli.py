@@ -100,6 +100,7 @@ def test_bounds_past_the_float_range(capsys):
      "width 1000001 exceeds heavinet's cap of 1000000"),
     (["--kind", "plain", "--L", "3", "--p", "2", "--d", "1000001"],
      "width 1000001 exceeds heavinet's cap of 1000000"),
+    (["--kind", "plain", "--L", "-5", "--p", "2"], "depth -5 < 1"),
 ])
 def test_bounds_refuses_oversized_architectures_before_making_them(capsys, argv, message):
     code = run(["bounds", *argv])
@@ -282,6 +283,8 @@ def test_round_trip_reload_evaluates_identically(tmp_path, capsys):
 @pytest.mark.parametrize("argv, points", [
     (["holder", "--kind", "skip", "--target", "x1x2", "--m", "3", "--n", "3"], 2001 ** 2),
     (["square", "--L", "2..3", "--s", "1", "--grid", "4000000"], 4000001),
+    # 3 999 999 intervals miss the cell edge 1/2
+    (["square", "--L", "2", "--s", "1", "--grid", "3999999"], 4000001),
 ])
 def test_sweep_refuses_the_grid_before_building(monkeypatch, capsys, argv, points):
     def no_build(*args, **kwargs):

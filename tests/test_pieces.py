@@ -15,6 +15,7 @@ from heavinet.analysis.pieces import (
     _same_value,
 )
 from heavinet.builders import (
+    binary_bit_extractor_lin,
     hyperrectangle_indicator,
     mixed_radix_bit_extractor,
     square_approximator,
@@ -174,10 +175,23 @@ def test_same_value_elementwise_equals_scalar_rule():
             assert _same_value(pat, out, 3, 3)
 
 
-def test_extractor_achieves_bound():
-    built = mixed_radix_bit_extractor((2, 2, 2))
-    part = exact_pieces(built.net, [0.0], [1.0])
-    assert part.piece_count == piece_bound(built.net.arch) == 8
+@pytest.mark.parametrize("family, spec", [
+    ("radix", (2, 2, 2)),
+    *(("lin", (L, variant)) for L in (1, 3, 6) for variant in ("wide", "narrow")),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_extractor_achieves_bound(family, spec):
+    # a lin extractor's identity rows carry x (wide) or the remainder
+    # (narrow) from layer to layer
+    if family == "radix":
+        net, pieces = mixed_radix_bit_extractor(spec).net, math.prod(spec)
+    else:
+        net, pieces = binary_bit_extractor_lin(*spec).net, 2 ** spec[0]
+    part = exact_pieces(net, [0.0], [1.0])
+    assert part.breakpoints.tolist() == [k / pieces for k in range(1, pieces)]
+    assert (part.side_flags == 1).all() and not part.point_values
+    assert part.piece_count == pieces
+    if spec[-1] != "wide":  # the wide carrier row lifts the ceiling past 2^L
+        assert piece_bound(net.arch) == pieces
 
 
 @pytest.mark.parametrize("radix, pieces", [((3,) + (2,) * 8, 768),
