@@ -22,16 +22,25 @@ produces one where the segment crosses the origin).
 
 ``sampled_pieces`` is the independent cross-check: the value sequence on
 the grid ``t = k/N`` (N intervals, N+1 points), change counting, and
-bisection refinement of every detected change.  Its split cuts runs of
-grid indices where a step state flips.  A run boundary can land one index
-away from the grid's own value change, so every run is read at its first
-and its last grid point; ``_grid_values_dense`` is the literal dense
-evaluator the tests compare against.  Bisection runs array-at-a-time: each
-open gap carries the last-hidden-layer pattern and the output of its two
-ends, read where they were first evaluated, so a round evaluates only the
-midpoints of the open gaps, in one call.  Every parameter thus gets
-exactly one value per ``sampled_pieces`` call.  A gap ends at the
-tolerance or where a float cannot split it any further.
+refinement of every detected change.  Its split cuts runs of grid indices
+where a step state flips.  A run boundary can land one index away from the
+grid's own value change, so every run is read at its first and its last
+grid point; ``_grid_values_dense`` is the literal dense evaluator the tests
+compare against.  Refinement runs array-at-a-time on a dyadic sub-grid:
+each round splits every open gap j bisection levels deep by repeated
+midpoints, the same floats bisection computes, and evaluates all interior
+points of all gaps in one call.  j is the most levels that keep a round
+within ``REFINE_POINTS`` points and stop before any sub-gap reaches the
+tolerance or becomes too narrow for a float midpoint; with many open gaps
+j = 1 and a round is one bisection level.  Each open gap carries the
+last-hidden-layer pattern and the output of its two ends, read where they
+were first evaluated, so every parameter gets exactly one value per
+``sampled_pieces`` call.  Every adjacent sub-grid pair whose values differ
+becomes a new gap.  The count never exceeds the exact one.  The sub-grid
+holds every point bisection evaluates, so where sameness is transitive
+(exact output equality, as in dyadic constructions) the count is also at
+least bisection's; ``_same_value`` is not transitive in general, and a
+round can then keep fewer sub-gaps than bisection would count.
 
 Both analyses judge sameness of evaluated parameters by one elementwise
 rule, ``_same_value``.
@@ -50,6 +59,10 @@ from .bounds import _layer_ceilings
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
 
 MERGE_TOL = 1e-12
+# most points a refinement round of sampled_pieces evaluates, unless one
+# level of bisection already has more: enough to spare most rounds' fixed
+# cost on a small network, few enough that a large one's points stay cheap
+REFINE_POINTS = 128
 
 
 @dataclass
@@ -140,10 +153,9 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
 def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
     """Exact roots of the step pre-activations inside each region, cuts
     closer than ``MERGE_TOL`` merged; regions are represented by midpoints."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.where(S != 0.0, -A / S, np.nan)
-    inside = (S != 0.0) & (roots > cuts[:-1] + MERGE_TOL) & (roots < cuts[1:] - MERGE_TOL)
-    new_roots = roots[inside]
+    rows, cols = np.nonzero(S)
+    roots = -A[rows, cols] / S[rows, cols]
+    new_roots = roots[(roots > cuts[cols] + MERGE_TOL) & (roots < cuts[cols + 1] - MERGE_TOL)]
     if new_roots.size:
         merged = np.sort(np.concatenate([cuts, new_roots]))
         keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL])
@@ -161,7 +173,10 @@ def _same_value(pat: np.ndarray, out: np.ndarray, i, j):
     """Whether evaluated parameters ``i`` and ``j`` carry the same output.
 
     ``i`` and ``j`` index columns of ``pat`` and rows of ``out``: ints,
-    index arrays or slices, compared elementwise.  Columns with equal
+    index arrays or slices, compared elementwise.  A further axis after
+    the indexed one, in both arrays, carries through to the result, so
+    ``pat`` of shape (width, points, gaps) and ``out`` of shape (points,
+    gaps, outputs) compare points along each gap.  Columns with equal
     last-hidden-layer activation patterns are equal by construction (the
     output is one affine map of that pattern), whatever the low bits of
     the evaluated floats say — BLAS kernels may round the same dot product
@@ -204,44 +219,40 @@ def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
         raise AssertionError(
             f"piece propagation disagrees with direct evaluation at t={mids[bad]}")
 
+    # the 0/1 patterns compare as bools, an eighth of the bytes to gather
+    pat = pat.astype(bool)
+
     def same(i, j):
         return _same_value(pat, out, i, j)
 
-    # merge adjacent interiors that carry the same output; a breakpoint's
-    # flag compares it with the first column of each neighbouring piece
-    # (not the adjacent midpoint: sameness is not transitive)
+    # merge adjacent interiors that carry the same output; each cut is then
+    # compared with the first column of the piece on either side (not the
+    # adjacent midpoint: sameness is not transitive), and each endpoint
+    # with its end piece, in one call
     inner = cuts[1:-1]
-    point_values: dict[float, np.ndarray] = {}
     keep = np.empty(P, dtype=bool)
     keep[0] = True
     keep[1:] = ~same(slice(0, P - 1), slice(1, P))
-    piece_cols = np.flatnonzero(keep)
-    bp_cols = P + np.flatnonzero(keep[1:])
-    bps, values = inner[keep[1:]], out[piece_cols]
+    # per region, the column of its piece's first region
+    piece_col = np.flatnonzero(keep)[np.cumsum(keep) - 1]
+    cut_cols = np.arange(P, P + C)
+    sames = same(np.concatenate([cut_cols, cut_cols, [P + C, P + C + 1]]),
+                 np.concatenate([piece_col[1:], piece_col[:-1], piece_col[[0, -1]]]))
+    right, left = sames[:C], sames[C:2 * C]
+    # a cut is a breakpoint where the piece changes, or where it carries
+    # its piece's value on neither side: a single-point piece where
+    # crossings with opposite inclusion sides meet
+    at = np.flatnonzero(keep[1:] | ~right)
+    bps = inner[at]
     # +1: the breakpoint takes the right piece's value, -1: the left's, 0: neither
-    right = same(bp_cols, piece_cols[1:])
-    flags = right.astype(int) - (same(bp_cols, piece_cols[:-1]) & ~right)
-    for k in np.flatnonzero(flags == 0):
-        point_values[float(bps[k])] = out[bp_cols[k]]
-
-    # crossings swallowed by merging can still hide a single-point
-    # piece (opposite inclusion sides meeting at one parameter)
-    swallowed = np.flatnonzero(~keep[1:])
-    if swallowed.size:
-        piece = np.searchsorted(bps, inner[swallowed])
-        hidden = ~same(P + swallowed, piece_cols[piece])
-        if hidden.any():
-            piece, swallowed = piece[hidden], swallowed[hidden]
-            bps = np.insert(bps, piece, inner[swallowed])
-            flags = np.insert(flags, piece, 0)
-            values = np.insert(values, piece + 1, values[piece], axis=0)
-            point_values.update(zip(inner[swallowed].tolist(), out[P + swallowed]))
+    flags = right[at].astype(int) - (left[at] & ~right[at])
+    values = out[piece_col[np.concatenate([[0], at + 1])]]
+    point_values = {float(t): out[P + k] for t, k in zip(bps[flags == 0], at[flags == 0])}
 
     # endpoint values differing from the adjoining interior (a crossing at
     # exactly t=0 or 1) are single-point pieces without a breakpoint entry;
     # value_at checks point_values first
-    for t, col, joined in zip((0.0, 1.0), (P + C, P + C + 1),
-                              same(slice(P + C, None), piece_cols[[0, -1]])):
+    for t, col, joined in zip((0.0, 1.0), (P + C, P + C + 1), sames[2 * C:]):
         if not joined:
             point_values[t] = out[col]
 
@@ -279,13 +290,42 @@ def _flip_indices(A: np.ndarray, S: np.ndarray, N: int, lo: np.ndarray, hi: np.n
     return np.where(flips[rows, first], cand[rows, first], hi + 1)
 
 
-def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> int:
-    """Piece count seen on the grid t = k/N plus bisection refinement.
+def _splittable(a, mid, b, refine_tol: float):
+    """Whether bisection splits the gap (a, b) at ``mid = 0.5 * (a + b)``:
+    it is wider than the tolerance and a float lies strictly inside."""
+    return (b - a > refine_tol) & (mid != a) & (mid != b)
 
-    Counts value changes along the grid, then bisects every detected change
+
+def _sub_grid(a, mid, b, refine_tol: float) -> np.ndarray:
+    """Every gap split j levels deep by repeated midpoints, one row each.
+
+    Row g holds the 2^j + 1 points of gap (a[g], b[g]), ends included:
+    the floats bisection reaches in j rounds.  j is at least 1 and grows
+    while the ``len(a) * (2^j - 1)`` interior points stay within
+    ``REFINE_POINTS`` and bisection would split every sub-gap again.
+    """
+    grid, mid = np.stack([a, b], axis=1), mid[:, None]
+    while True:
+        split = np.empty((len(grid), 2 * grid.shape[1] - 1))
+        split[:, ::2], split[:, 1::2] = grid, mid
+        grid = split
+        if len(grid) * (2 * grid.shape[1] - 3) > REFINE_POINTS:
+            return grid
+        mid = 0.5 * (grid[:, :-1] + grid[:, 1:])
+        if not _splittable(grid[:, :-1], mid, grid[:, 1:], refine_tol).all():
+            return grid
+
+
+def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> int:
+    """Piece count seen on the grid t = k/N plus sub-grid refinement.
+
+    Counts value changes along the grid, then refines every detected change
     down to ``refine_tol`` (which must be positive) or to adjacent floats,
-    adding any further values discovered on the way.  The result never
-    exceeds the exact piece count.
+    adding any further values discovered on the way.  A round splits every
+    open gap several bisection levels deep at once (``_sub_grid``), so it
+    evaluates every parameter bisection would and more.  The result never
+    exceeds the exact piece count, and is at least bisection's count where
+    sameness is transitive (exact output equality, as with dyadic weights).
     """
     if N < 2:
         raise InvalidInputError("sampled_pieces needs N >= 2")
@@ -316,18 +356,17 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
     pat = trace[-1]
     changed = np.flatnonzero(~_same_value(pat, out, slice(1, None), slice(None, -1)))
 
-    # bisection refinement, all open gaps at once; every gap carries the
-    # last-hidden-layer pattern and the output of its ends a and b, read
-    # when they were first evaluated, so a round evaluates only the
-    # midpoints and every parameter gets exactly one value per call.
-    # Patterns are carried one 0/1 row per gap, as bools.
+    # refinement, all open gaps at once; every gap carries the
+    # last-hidden-layer pattern (one bool row) and the output of its ends
+    # a and b, read when they were first evaluated, so a round evaluates
+    # only the interior points of its sub-grid and every parameter gets
+    # exactly one value per call
     a, pa, oa = ts[changed], pat.T[changed].astype(bool), out[changed]
     b, pb, ob = ts[changed + 1], pat.T[changed + 1].astype(bool), out[changed + 1]
     changes = 0
     while a.size:
         mid = 0.5 * (a + b)
-        # a gap ends at the tolerance or where a float cannot split it
-        done = (b - a <= refine_tol) | (mid == a) | (mid == b)
+        done = ~_splittable(a, mid, b, refine_tol)
         if done.any():
             changes += int(np.count_nonzero(done))
             live = ~done
@@ -335,22 +374,23 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
             pa, oa, pb, ob = pa[live], oa[live], pb[live], ob[live]
             if not a.size:
                 break
-        mout, mtrace = _eval_at(net, x1, x2, mid, with_trace=True)
-        # lay the carried a, the new mid and the carried b side by side,
-        # (a, mid, b) per gap, and compare within that layout
-        abm = np.stack([a, mid, b], axis=1)
-        pats = np.stack([pa, mtrace[-1].T.astype(bool), pb], axis=1)
-        outs = np.stack([oa, mout, ob], axis=1)
-        flat_pat = pats.reshape(-1, pats.shape[2]).T
-        flat_out = outs.reshape(-1, outs.shape[2])
-        at_a = _same_value(flat_pat, flat_out, slice(1, None, 3), slice(0, None, 3))
-        at_b = _same_value(flat_pat, flat_out, slice(1, None, 3), slice(2, None, 3))
-        # keep (a, mid) unless mid carries a's value, and (mid, b) when it
-        # carries a's value or not b's (a third value inside: two changes)
-        keep = np.empty((a.size, 2), dtype=bool)
-        keep[:, 0] = ~at_a
-        keep[:, 1] = at_a | ~at_b
-        a, b = abm[:, :2][keep], abm[:, 1:][keep]
-        pa, pb = pats[:, :2][keep], pats[:, 1:][keep]
-        oa, ob = outs[:, :2][keep], outs[:, 1:][keep]
+        grid = _sub_grid(a, mid, b, refine_tol)
+        G, m = grid.shape
+        gout, gtrace = _eval_at(net, x1, x2, grid[:, 1:-1].ravel(), with_trace=True)
+        # every point of every gap, point-major, the carried ends first and
+        # last; each adjacent pair whose values differ is a new gap, and a
+        # gap whose ends differ keeps its last pair when every pair is the
+        # same (sameness is not transitive), as bisection keeps (mid, b)
+        pats = np.empty((m, G, pa.shape[1]), dtype=bool)
+        pats[0], pats[-1] = pa, pb
+        pats[1:-1] = gtrace[-1].T.reshape(G, m - 2, -1).transpose(1, 0, 2)
+        outs = np.empty((m, G, oa.shape[1]))
+        outs[0], outs[-1] = oa, ob
+        outs[1:-1] = gout.reshape(G, m - 2, -1).transpose(1, 0, 2)
+        keep = ~_same_value(pats.transpose(2, 0, 1), outs, slice(None, -1), slice(1, None)).T
+        keep[:, -1] |= ~keep.any(axis=1)
+        pats, outs = pats.transpose(1, 0, 2), outs.transpose(1, 0, 2)
+        a, b = grid[:, :-1][keep], grid[:, 1:][keep]
+        pa, pb = pats[:, :-1][keep], pats[:, 1:][keep]
+        oa, ob = outs[:, :-1][keep], outs[:, 1:][keep]
     return changes + 1

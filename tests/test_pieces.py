@@ -111,6 +111,37 @@ def test_sampled_evaluates_each_parameter_once(monkeypatch):
     assert np.unique(ts).size == ts.size
 
 
+def test_sampled_refines_many_levels_per_call(monkeypatch):
+    # two open gaps of width 1e-6 need ten levels down to 1e-9; a round
+    # splits each gap as many levels deep as its point budget allows
+    eval_at, calls = pieces._eval_at, []
+
+    def counted(net, x1, x2, ts, with_trace=False):
+        calls.append(np.array(ts))
+        return eval_at(net, x1, x2, ts, with_trace=with_trace)
+
+    monkeypatch.setattr(pieces, "_eval_at", counted)
+    net = hyperrectangle_indicator([0.3], [0.6]).net
+    assert sampled_pieces(net, [0.0], [1.0], 1_000_000, refine_tol=1e-9) == 3
+    ts = np.concatenate(calls)
+    assert len(calls) <= 3
+    assert np.unique(ts).size == ts.size
+
+
+def test_sampled_finds_a_piece_bisection_misses():
+    # on the grid t = 0, 1/2, 1 the gap (1/2, 1) runs from value 0 to 2;
+    # its midpoint 3/4 carries 0 like its left end, so bisection drops
+    # (1/2, 3/4) and with it the piece [0.55, 0.56) of value 1, counting
+    # 2; the sub-grid evaluates points inside that piece
+    from heavinet.builders import PieceSpec, piecewise_constant_1d
+
+    net = piecewise_constant_1d(PieceSpec((0.55, 0.56, 0.9), (1, 1, 1),
+                                          (0.0, 1.0, 0.0, 2.0))).net
+    exact = exact_pieces(net, [0.0], [1.0]).piece_count
+    assert exact == 4
+    assert sampled_pieces(net, [0.0], [1.0], 2, refine_tol=1e-12) == exact
+
+
 def test_flip_indices_equal_a_literal_scan():
     # the first k in (lo, hi] whose state A + S*(k/N) >= 0 differs from
     # state(k-1), found by walking the run, or hi+1 if there is none
