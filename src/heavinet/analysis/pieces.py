@@ -38,9 +38,11 @@ were first evaluated, so every parameter gets exactly one value per
 ``sampled_pieces`` call.  Every adjacent sub-grid pair whose values differ
 becomes a new gap.  The count never exceeds the exact one.  The sub-grid
 holds every point bisection evaluates, so where sameness is transitive
-(exact output equality, as in dyadic constructions) the count is also at
-least bisection's; ``_same_value`` is not transitive in general, and a
-round can then keep fewer sub-gaps than bisection would count.
+the count is also at least bisection's.  It is where equal patterns give
+equal outputs, as the padded output stage makes them on the BLAS kernels
+tested: sameness is then exact output equality.  Otherwise
+``_same_value`` need not be transitive, and a round can keep fewer
+sub-gaps than bisection would count.
 
 Both analyses judge sameness of evaluated parameters by one elementwise
 rule, ``_same_value``.
@@ -178,11 +180,13 @@ def _same_value(pat: np.ndarray, out: np.ndarray, i, j):
     ``pat`` of shape (width, points, gaps) and ``out`` of shape (points,
     gaps, outputs) compare points along each gap.  Columns with equal
     last-hidden-layer activation patterns are equal by construction (the
-    output is one affine map of that pattern), whatever the low bits of
-    the evaluated floats say — BLAS kernels may round the same dot product
-    differently between columns and between calls.  Different patterns
-    compare by exact output equality, which catches genuine cancellations
-    (they are exact in the dyadic constructions this package emits).
+    output is one affine map of that pattern).  Their floats agree too, in
+    any column of any call, since the output stage pads its product to a
+    column count BLAS sums in one order (``networks._forward``); the
+    pattern compare keeps sameness from resting on that property of the
+    BLAS kernels.  Different patterns compare by exact output equality,
+    which catches genuine cancellations (they are exact in the dyadic
+    constructions this package emits).
     """
     return (pat[:, i] == pat[:, j]).all(axis=0) | (out[i] == out[j]).all(axis=-1)
 
@@ -199,12 +203,6 @@ def _segment(net: Network, x1, x2) -> tuple[np.ndarray, np.ndarray]:
 def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
     """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
     x1, x2 = _segment(net, x1, x2)
-    # kept although the general path handles it: a one-row evaluation
-    # rounds differently from the traced batch below, in the last bit
-    if np.array_equal(x1, x2):
-        v = evaluate_batch(net, x1[None, :])[0]
-        return SegmentPartition(x1, x2, np.array([]), np.array([], dtype=int), v[None, :])
-
     cuts, bits = _propagate(net, x1, x2, np.array([0.0, 1.0]), _root_split)
     # one traced evaluation covers the midpoints, the cut parameters, and
     # the endpoints; sameness of two parameters is judged by _same_value
@@ -325,7 +323,7 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
     open gap several bisection levels deep at once (``_sub_grid``), so it
     evaluates every parameter bisection would and more.  The result never
     exceeds the exact piece count, and is at least bisection's count where
-    sameness is transitive (exact output equality, as with dyadic weights).
+    sameness is transitive (see the module docstring).
     """
     if N < 2:
         raise InvalidInputError("sampled_pieces needs N >= 2")
@@ -346,12 +344,12 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
 
     starts, _ = _propagate(net, x1, x2, np.array([0, N + 1], dtype=np.int64), flip_split)
     # one traced evaluation reads every run at its first and its last grid
-    # point; each change between adjacent read points is a gap to refine,
-    # including one inside a run whose head still carries its left
-    # neighbour's value
+    # point, once each (a run one index long has one); each change between
+    # adjacent read points is a gap to refine, including one inside a run
+    # whose head still carries its left neighbour's value
     ends = np.repeat(starts, 2)[1:-1]  # first and last index of each run
     ends[1::2] -= 1
-    ts = ends / N
+    ts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))] / N
     out, trace = _eval_at(net, x1, x2, ts, with_trace=True)
     pat = trace[-1]
     changed = np.flatnonzero(~_same_value(pat, out, slice(1, None), slice(None, -1)))

@@ -59,6 +59,17 @@ __all__ = [
 ]
 
 
+# floats one evaluate_batch block keeps in its widest stage (512 kB), so a
+# block's activations stay in cache through the pass; a block has at least
+# BLOCK_MIN_COLUMNS columns however wide the network
+BLOCK_FLOATS = 2**16
+BLOCK_MIN_COLUMNS = 256
+# the output stage multiplies column counts that are multiples of this:
+# BLAS sums every such column in one order, leftover columns and a
+# one-column product in others
+OUTPUT_COLUMN_MULTIPLE = 8
+
+
 class NetworkKind(enum.Enum):
     PLAIN = "plain"
     SKIP = "skip"
@@ -270,6 +281,11 @@ def step_rows(arch: Architecture, i: int) -> int | None:
     return None
 
 
+def _product(W, h: np.ndarray) -> np.ndarray:
+    # scipy multiplies 2-D operands only: one labeling at a time
+    return np.stack([W @ g for g in h]) if h.ndim == 3 and issparse(W) else W @ h
+
+
 def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
              filled=(), trace: list | None = None) -> np.ndarray:
     """Affine stages ``lo..hi-1`` of ``net`` on column-stacked activations.
@@ -292,8 +308,18 @@ def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
         if pending is not None and pending[0] == i:
             _, W, b = pending
             pending = next(filled, None)
-        # scipy multiplies 2-D operands only: one labeling at a time
-        z = np.stack([W @ g for g in h]) if h.ndim == 3 and issparse(W) else W @ h
+        tail = h.shape[-1] % OUTPUT_COLUMN_MULTIPLE if i == L else 0
+        if tail:
+            # the leftover columns go through a product padded with zero
+            # columns, so every output column is summed in one order and a
+            # point's output does not depend on its batch, block or column
+            padded = np.zeros(h.shape[:-1] + (OUTPUT_COLUMN_MULTIPLE,))
+            padded[..., :tail] = h[..., -tail:]
+            z = _product(W, padded)[..., :tail]
+            if h.shape[-1] > tail:
+                z = np.concatenate([_product(W, h[..., :-tail]), z], axis=-1)
+        else:
+            z = _product(W, h)
         if layer.V is not None:
             z += layer.V @ x
         b = np.asarray(b)[..., None]
@@ -335,10 +361,15 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
     """Evaluate at many points, rows of ``X``; returns an (n, p_out) array.
 
     With ``with_trace`` the hidden activation matrices (width x n) are
-    returned as well, and chunking is disabled.  Without a trace the batch is
-    processed in column chunks sized to keep intermediate buffers small; the
-    chunk size can shift output floats by an ulp (BLAS kernels round
-    shape-dependently), never the binary activations away from thresholds.
+    returned as well, and the batch is one block.  Without a trace it runs
+    in blocks of columns sized to ``BLOCK_FLOATS`` over the widest stage,
+    at least ``BLOCK_MIN_COLUMNS``, so a block's activations stay in cache.
+    A point's output is the same float whatever the batch, the block or
+    its column, here or in ``evaluate``: the output stage multiplies the
+    columns left over after the last multiple of ``OUTPUT_COLUMN_MULTIPLE``
+    in a product padded with zero columns, so BLAS sums every column in one
+    order.  Hidden stages need no padding; the tests compare whole passes
+    bit for bit at several block sizes.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -354,11 +385,14 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
     if with_trace:
         trace = []
         return _forward(net, cols, cols, 0, stages, trace=trace).T, trace
-    chunk = max(1024, int(4_000_000 / max(max(net.arch.augmented_widths()), 1)))
-    if n <= chunk:
+    # whole multiples of the output stage's column count: only the last
+    # block pads
+    block = BLOCK_FLOATS // max(net.arch.augmented_widths()) // OUTPUT_COLUMN_MULTIPLE
+    block = max(BLOCK_MIN_COLUMNS, block * OUTPUT_COLUMN_MULTIPLE)
+    if n <= block:
         return _forward(net, cols, cols, 0, stages).T
     return np.concatenate([_forward(net, part, part, 0, stages).T
-                           for part in np.split(cols, range(chunk, n, chunk), axis=1)])
+                           for part in np.split(cols, range(block, n, block), axis=1)])
 
 
 # -- kind embeddings ---------------------------------------------------------

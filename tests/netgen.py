@@ -1,4 +1,5 @@
-"""Random-network generator shared by the property and acceptance tests."""
+"""Network generators shared by the property, acceptance and evaluation
+tests."""
 
 from __future__ import annotations
 
@@ -38,3 +39,16 @@ def random_network(kind: NetworkKind, rng: np.random.Generator,
 
 def random_segment(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.uniform(0, 1, d), rng.uniform(0, 1, d)
+
+
+def position_sensitive_networks() -> dict[str, Network]:
+    """Built networks with non-dyadic weights whose output floats moved by
+    an ulp with a point's column in an unpadded output product."""
+    from heavinet.builders import mixed_radix_bit_extractor, square_approximator
+
+    return {
+        "radix(5,5,5,5)": mixed_radix_bit_extractor((5, 5, 5, 5)).net,
+        "radix(3,2,...,2)": mixed_radix_bit_extractor((3,) + (2,) * 8).net,
+        "square(5,2)": square_approximator(5, 2, (2, 2, 2, 0)).net,
+        "square(4,2)": square_approximator(4, 2, (2, 2, 0)).net,
+    }

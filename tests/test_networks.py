@@ -1,5 +1,7 @@
 """Core network behavior: activation, validation, evaluation, embeddings."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,12 +18,13 @@ from heavinet import (
     evaluate,
     evaluate_batch,
     heaviside,
+    networks,
     validate,
 )
 from heavinet.builders import holder_approximator
 from heavinet.networks import _forward, issparse, step_rows
 from heavinet.targets import TARGETS
-from netgen import random_network
+from netgen import position_sensitive_networks, random_network
 
 
 def _sparse_holder(target="x2", m=2, n=1):
@@ -246,3 +249,45 @@ def test_step_compare_is_subtract_then_compare():
                 for layer in net.layers))
             X = rng.integers(-8, 17, (60, net.arch.input_dim)) / 8
             assert evaluate_batch(net, X).tobytes() == _subtract_then_compare(net, X).tobytes()
+
+
+# batch independence: a point's output is one float whatever the batch,
+# the block or the column that evaluates it (run again in CI with two
+# BLAS threads, selected by "batch_independent")
+
+POSITION_SENSITIVE = position_sensitive_networks()
+
+
+def _blocks_of(monkeypatch, columns: int):
+    monkeypatch.setattr(networks, "BLOCK_FLOATS", 0)
+    monkeypatch.setattr(networks, "BLOCK_MIN_COLUMNS", columns)
+
+
+@pytest.mark.parametrize("name", POSITION_SENSITIVE)
+def test_batch_independent_single_point_rows(name):
+    net = POSITION_SENSITIVE[name]
+    X = np.random.default_rng(15).uniform(0, 1, (3000, 1))
+    single = np.array([evaluate(net, x) for x in X])
+    assert single.tobytes() == evaluate_batch(net, X).tobytes()
+
+
+@pytest.mark.parametrize("name", POSITION_SENSITIVE)
+def test_batch_independent_blocks(monkeypatch, name):
+    net = POSITION_SENSITIVE[name]
+    X = np.random.default_rng(16).uniform(0, 1, (3000, 1))
+    digests = {hashlib.sha256(evaluate_batch(net, X).tobytes()).hexdigest()}
+    for columns in (1, 3, 8, 333):
+        _blocks_of(monkeypatch, columns)
+        digests.add(hashlib.sha256(evaluate_batch(net, X).tobytes()).hexdigest())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("columns", [None, 8192])
+def test_batch_independent_literal_grid_count(monkeypatch, columns):
+    # the last block of either size ends in leftover columns, which an
+    # unpadded output stage rounds otherwise: it read 626 at both
+    if columns is not None:
+        _blocks_of(monkeypatch, columns)
+    t = np.arange(1_000_001) / 1_000_000
+    y = evaluate_batch(POSITION_SENSITIVE["radix(5,5,5,5)"], t[:, None])[:, 0]
+    assert np.count_nonzero(y[1:] != y[:-1]) + 1 == 625

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heavinet import InvalidInputError, NetworkKind, evaluate_batch
+from heavinet import InvalidInputError, NetworkKind, evaluate, evaluate_batch
 from heavinet.analysis import exact_pieces, piece_bound, pieces, sampled_pieces
 from heavinet.analysis.pieces import (
     _flip_indices,
@@ -21,7 +21,20 @@ from heavinet.builders import (
     square_approximator,
     xor_network,
 )
-from netgen import random_network, random_segment
+from netgen import position_sensitive_networks, random_network, random_segment
+
+POSITION_SENSITIVE = position_sensitive_networks()
+
+
+@pytest.mark.parametrize("name", POSITION_SENSITIVE)
+def test_exact_pieces_of_a_point_is_its_evaluation(name):
+    # a zero-length segment is one piece, read in the traced batch of the
+    # general path; its value is the single-point evaluation, bit for bit
+    net = POSITION_SENSITIVE[name]
+    for x in np.random.default_rng(17).uniform(0, 1, (40, 1)):
+        part = exact_pieces(net, x, x)
+        assert part.piece_count == 1 and part.breakpoints.size == 0
+        assert part.values.tobytes() == evaluate(net, x).tobytes()
 
 
 def test_square_two_pieces():
@@ -109,6 +122,19 @@ def test_sampled_evaluates_each_parameter_once(monkeypatch):
     assert len(calls) == 11
     assert ts.size == 24_566
     assert np.unique(ts).size == ts.size
+
+    # at N = 2 the run of t = 1 is one grid index long: its first and its
+    # last index are one parameter, read once
+    from heavinet.builders import PieceSpec, piecewise_constant_1d
+
+    calls.clear()
+    net = piecewise_constant_1d(PieceSpec((0.55, 0.56, 0.9), (1, 1, 1),
+                                          (0.0, 1.0, 0.0, 2.0))).net
+    assert sampled_pieces(net, [0.0], [1.0], 2, refine_tol=1e-12) == 4
+    assert calls[0].tolist() == [0.0, 0.5, 1.0]
+    ts = np.concatenate(calls)
+    assert np.unique(ts).size == ts.size
+    assert exact_pieces(net, [0.0], [1.0]).piece_count == 4
 
 
 def test_sampled_refines_many_levels_per_call(monkeypatch):
