@@ -35,6 +35,9 @@ def hyperrectangle_indicator(a, b) -> BuiltNetwork:
     b = np.asarray(b, dtype=float).reshape(-1)
     if a.shape != b.shape or a.size < 1:
         raise InvalidInputError("hyperrectangle: a and b must be equal-length vectors")
+    for name, corner in (("a", a), ("b", b)):
+        if not np.all(np.isfinite(corner)):
+            raise InvalidInputError(f"hyperrectangle: {name} must be finite, got {corner.tolist()}")
     if np.any(a > b):
         raise InvalidInputError("hyperrectangle: requires a <= b componentwise")
     d = a.size
@@ -99,6 +102,10 @@ class PieceSpec:
         p = len(self.breakpoints)
         if len(self.sides) != p or len(self.values) != p + 1:
             raise InvalidInputError("piece spec: need p breakpoints, p sides, p+1 values")
+        for name in ("breakpoints", "values"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise InvalidInputError(
+                    f"piece spec: {name} must be finite, got {list(getattr(self, name))}")
         if any(s not in (-1, 1) for s in self.sides):
             raise InvalidInputError("piece spec: sides must be +1 or -1")
         if list(self.breakpoints) != sorted(self.breakpoints):

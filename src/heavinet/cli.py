@@ -107,16 +107,21 @@ def _load_points(path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
+def _bits_from_arg(arg: str, count: int, what: str, hint: str = "") -> np.ndarray:
+    """``count`` 0/1 characters, surrounding blanks ignored; the refusal
+    names the argument ``what``, then ``hint``."""
+    bits = arg.strip()
+    if len(bits) != count or set(bits) - {"0", "1"}:
+        raise InvalidInputError(f"{what} must be {count} characters of 0/1{hint}")
+    return np.array([int(c) for c in bits])
+
+
 def _payload_from_arg(geom: CellGeometry, arg: str, seed: int) -> np.ndarray:
     J, K, R = geom.sizes
     if arg == "random":
         rng = np.random.default_rng(seed)
         return rng.integers(0, 2, (J, K, R))
-    bits = arg.strip()
-    if len(bits) != J * K * R or set(bits) - {"0", "1"}:
-        raise InvalidInputError(
-            f"payload must be {J * K * R} characters of 0/1 (or 'random')")
-    return np.array([int(c) for c in bits]).reshape(J, K, R)
+    return _bits_from_arg(arg, J * K * R, "payload", " (or 'random')").reshape(J, K, R)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -153,7 +158,8 @@ def _cmd_build(args) -> int:
             args.m, args.n, args.t if args.kind == "lin" else None)
         built = builders.holder_approximator(args.kind, cfg)
     elif what == "shatter-net":
-        lam = np.array([int(c) for c in args.labels])
+        count = builders.shatter_points(args.kind, args.m, args.n, args.t).size
+        lam = _bits_from_arg(args.labels, count, "labels")
         built, _ = builders.shattering_net(args.kind, args.m, args.n, args.t, lam)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidInputError(f"unknown construction {what!r}")

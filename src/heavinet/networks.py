@@ -25,6 +25,12 @@ package imports ``scipy.sparse`` at top level: it is imported where a
 sparse matrix is first made or read, and ``issparse`` asks it only once it
 is loaded, so a run that meets only dense matrices never loads it.
 
+``evaluate_batch`` runs in column blocks of ``BLOCK_FLOATS`` over the
+widest stage they pass.  From the pattern stage on (``pattern_stage``: no
+stage after it reads the input or an identity neuron) a point's output is
+a function of its binary pattern, and only the first point of each run of
+equal adjacent patterns goes through the later stages.
+
 A ``Network`` is valid for its whole life.  Constructing one runs
 ``validate``, the one statement of the rules of each class, and raises
 ``InvalidNetworkError`` with every violation; no other code checks them
@@ -362,14 +368,23 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
 
     With ``with_trace`` the hidden activation matrices (width x n) are
     returned as well, and the batch is one block.  Without a trace it runs
-    in blocks of columns sized to ``BLOCK_FLOATS`` over the widest stage,
-    at least ``BLOCK_MIN_COLUMNS``, so a block's activations stay in cache.
+    in blocks of columns sized to ``BLOCK_FLOATS`` over the widest stage
+    they pass, at least ``BLOCK_MIN_COLUMNS``, so a block's activations
+    stay in cache.  Stages before ``pattern_stage`` run on every point, in
+    blocks sized over the widest of their widths.  Past it the output
+    depends only on the binary pattern, so each run of adjacent points
+    with equal patterns is evaluated once, at its first point, and the
+    run heads go through the remaining stages in blocks sized over the
+    widest of those; an ordered grid has few runs.  When the pattern stage
+    is the output stage, every stage runs on every point.
+
     A point's output is the same float whatever the batch, the block or
     its column, here or in ``evaluate``: the output stage multiplies the
     columns left over after the last multiple of ``OUTPUT_COLUMN_MULTIPLE``
     in a product padded with zero columns, so BLAS sums every column in one
-    order.  Hidden stages need no padding; the tests compare whole passes
-    bit for bit at several block sizes.
+    order, and a run head's output is the one every point of its run
+    would get.  Hidden stages need no padding; the tests compare whole
+    passes bit for bit at several block sizes.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -381,18 +396,66 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
         raise InvalidInputError("evaluate_batch: non-finite input")
     cols = X.T
     n = cols.shape[1]
-    stages = net.arch.depth + 1
+    L = net.arch.depth
     if with_trace:
         trace = []
-        return _forward(net, cols, cols, 0, stages, trace=trace).T, trace
-    # whole multiples of the output stage's column count: only the last
-    # block pads
-    block = BLOCK_FLOATS // max(net.arch.augmented_widths()) // OUTPUT_COLUMN_MULTIPLE
-    block = max(BLOCK_MIN_COLUMNS, block * OUTPUT_COLUMN_MULTIPLE)
-    if n <= block:
-        return _forward(net, cols, cols, 0, stages).T
-    return np.concatenate([_forward(net, part, part, 0, stages).T
-                           for part in np.split(cols, range(block, n, block), axis=1)])
+        return _forward(net, cols, cols, 0, L + 1, trace=trace).T, trace
+    ws = net.arch.augmented_widths()
+    first = pattern_stage(net)
+    if first >= L:
+        parts = [_forward(net, part, part, 0, L + 1).T for part in _blocks(cols, ws)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # the prefix marks each column whose pattern differs from the column
+    # before it (a NaN column before the first), and its run heads go to the
+    # suffix in blocks of `step` columns, the held rest carried over
+    step = _block_columns(ws[first:])
+    fresh = np.empty(n, dtype=bool)
+    last = np.full((ws[first], 1), np.nan)
+    outs, heads, held, at = [], [], 0, 0
+    for part in _blocks(cols, ws[:first + 1]):
+        h = _forward(net, part, part, 0, first)
+        mark = fresh[at:at + h.shape[1]]
+        at += h.shape[1]
+        np.any(h[:, :1] != last, axis=0, out=mark[:1])
+        np.any(h[:, 1:] != h[:, :-1], axis=0, out=mark[1:])
+        last = h[:, -1:].copy()
+        heads.append(h[:, mark])
+        held += heads[-1].shape[1]
+        del h  # so two blocks are never alive at once
+        if held > step:
+            # keep 1..step columns held, so the last suffix block is never empty
+            ready = np.concatenate(heads, axis=1)
+            cut = (held - 1) // step * step
+            outs += [_forward(net, ready[:, lo:lo + step], None, first, L + 1)
+                     for lo in range(0, cut, step)]
+            heads, held = [ready[:, cut:]], held - cut
+    outs.append(_forward(net, np.concatenate(heads, axis=1), None, first, L + 1))
+    starts = np.flatnonzero(fresh)
+    return np.repeat(np.concatenate(outs, axis=1).T, np.diff(starts, append=n), axis=0)
+
+
+def pattern_stage(net: Network) -> int:
+    """The first stage from which no stage reads the input or an identity
+    neuron: one past the last stage with skip taps or whose input layer has
+    identity rows, 1 when there is none.  From there on a point's output
+    depends only on its step pattern."""
+    ws = net.arch.augmented_widths()
+    return 1 + max((i for i in range(1, len(ws) - 1)
+                    if net.layers[i].V is not None
+                    or (step_rows(net.arch, i - 1) or ws[i]) < ws[i]), default=0)
+
+
+def _block_columns(widths) -> int:
+    """Columns of a block that holds ``BLOCK_FLOATS`` over the widest of
+    ``widths``: at least ``BLOCK_MIN_COLUMNS``, and whole multiples of the
+    output stage's column count, so only the last block pads."""
+    block = BLOCK_FLOATS // max(widths) // OUTPUT_COLUMN_MULTIPLE
+    return max(BLOCK_MIN_COLUMNS, block * OUTPUT_COLUMN_MULTIPLE)
+
+
+def _blocks(cols: np.ndarray, widths) -> list[np.ndarray]:
+    block = _block_columns(widths)
+    return np.split(cols, range(block, cols.shape[1], block), axis=1)
 
 
 # -- kind embeddings ---------------------------------------------------------

@@ -3,6 +3,8 @@ tests."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from heavinet import Architecture, LayerParams, Network, NetworkKind
@@ -52,3 +54,58 @@ def position_sensitive_networks() -> dict[str, Network]:
         "square(5,2)": square_approximator(5, 2, (2, 2, 2, 0)).net,
         "square(4,2)": square_approximator(4, 2, (2, 2, 0)).net,
     }
+
+
+SQUARES = ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3))
+HOLDERS = (("x2", "skip", 1, 1, None), ("x2", "skip", 2, 0, None), ("x2", "lin", 1, 0, 1),
+           ("x2", "lin", 1, 1, 1), ("x3mx", "skip", 1, 1, None), ("x3mx", "skip", 2, 0, None),
+           ("x3mx", "lin", 1, 0, 1), ("x3mx", "lin", 1, 1, 1), ("x1x2", "skip", 1, 0, None),
+           ("x1x2", "skip", 2, 0, None))
+RADICES = ((3, 2, 2, 2, 2, 2, 2, 2, 2), (2, 3, 2, 2, 2, 2, 2, 2, 2), (5, 5, 5, 5),
+           (4, 2, 2, 2, 2, 2, 2, 2, 2), (8, 4, 2, 2, 2, 2, 2, 2), (4, 4, 4, 4, 4),
+           (16, 8, 4, 4), (8, 8, 8, 4), (2,) * 11)
+LIN_EXTRACTORS = ((10, "wide"), (12, "narrow"))
+
+
+APPROXIMATORS = tuple([f"square({L},{s})" for L, s in SQUARES]
+                      + [f"holder({target},{kind},{m},{n},{t})"
+                         for target, kind, m, n, t in HOLDERS])
+
+
+@functools.cache
+def approximator(name: str) -> tuple[Network, np.ndarray]:
+    """A square or Hoelder approximator named in ``APPROXIMATORS``, with the
+    ordered grid its sup error is measured on: square(L, s) on 100 001
+    points plus its cell edges, one-dimensional Hoelder networks on 2 001
+    points, x1*x2 on a 201^2 (m = 1) or 101^2 (m = 2) tensor grid."""
+    from heavinet.analysis.sup import axis_grid, grid_rows
+    from heavinet.builders import holder_approximator, square_approximator
+    from heavinet.targets import TARGETS
+
+    family, args = name[:-1].split("(")
+    args = [None if a == "None" else a for a in args.split(",")]
+    if family == "square":
+        L, s = map(int, args)
+        S = (s + 1) ** (L - 1)
+        net = square_approximator(L, s, (s,) * (L - 2) + (0,)).net
+        return net, axis_grid(1, 100_000, np.arange(S + 1) / S)[0][:, None]
+    target, kind, m, n, t = args
+    m, n, t = int(m), int(n), None if t is None else int(t)
+    net = holder_approximator(kind, TARGETS[target].holder_config(m, n, t)).net
+    d = TARGETS[target].d
+    axes = axis_grid(d, 2000 if d == 1 else 200 // m)
+    return net, grid_rows(axes, 0, len(axes[0]) ** d)
+
+
+@functools.cache
+def extractors() -> dict[str, tuple[Network, int]]:
+    """Digit extractors and their piece counts on [0, 1], the digit
+    product."""
+    import math
+
+    from heavinet.builders import binary_bit_extractor_lin, mixed_radix_bit_extractor
+
+    out = {f"radix{r}": (mixed_radix_bit_extractor(r).net, math.prod(r)) for r in RADICES}
+    out.update({f"lin{spec}": (binary_bit_extractor_lin(*spec).net, 2 ** spec[0])
+                for spec in LIN_EXTRACTORS})
+    return out

@@ -2,11 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from heavinet import Architecture, InvalidInputError, NetworkKind
+from heavinet import Architecture, InvalidInputError, NetworkKind, evaluate_batch
 from heavinet.analysis import approx_lower_bound, bound_report, piece_bound, vc_upper_bound
 from heavinet.analysis.bounds import _layer_ceilings
+from heavinet.networks import step_rows
+from netgen import APPROXIMATORS, approximator, extractors, random_network
 
 
 def test_piece_bounds():
@@ -87,3 +90,48 @@ def test_calculators_reject_what_validate_rejects(arch):
                  lambda a: approx_lower_bound((0.0, 1.0), a)):
         with pytest.raises(InvalidInputError, match="invalid architecture"):
             calc(arch)
+
+
+def _pattern_runs(net, t, floats=2**21):
+    """Runs of equal step-row patterns of each hidden layer along the
+    ordered points ``t``, traced in chunks of at most ``floats`` hidden
+    activations, each chunk compared with the last column before it."""
+    arch = net.arch
+    step = max(1, floats // sum(arch.augmented_widths()[1:-1]))
+    runs = np.zeros(arch.depth, dtype=int)
+    last = [None] * arch.depth
+    for part in np.split(t, range(step, len(t), step)):
+        _, trace = evaluate_batch(net, part[:, None], with_trace=True)
+        for ell, h in enumerate(trace):
+            h = h[:step_rows(arch, ell)]
+            if last[ell] is not None:
+                h = np.concatenate([last[ell], h], axis=1)
+            else:
+                runs[ell] += 1
+            runs[ell] += np.count_nonzero((h[:, 1:] != h[:, :-1]).any(axis=0))
+            last[ell] = h[:, -1:]
+    return runs.tolist()
+
+
+LAYERWISE = [name for name in APPROXIMATORS if "x1x2" not in name] + list(extractors())
+
+
+@pytest.mark.parametrize("name", LAYERWISE)
+def test_pattern_runs_along_an_ordered_grid_stay_under_the_layer_ceilings(name):
+    # the paper's layer-wise count: along a segment, hidden layer l has at
+    # most _layer_ceilings[l] regions, so at most that many runs of equal
+    # step patterns on any ordered grid of it
+    net, pieces = (approximator(name)[0], 1) if name in APPROXIMATORS else extractors()[name]
+    runs = _pattern_runs(net, np.linspace(0.0, 1.0, 20_000))
+    ceilings = _layer_ceilings(net.arch)
+    assert all(1 <= r <= c for r, c in zip(runs, ceilings)), (runs, ceilings)
+    assert runs[-1] >= pieces  # the output is a function of the last pattern
+
+
+def test_pattern_runs_of_random_networks_stay_under_the_layer_ceilings():
+    rng = np.random.default_rng(30)
+    for kind in NetworkKind:
+        for _ in range(40):
+            net = random_network(kind, rng, max_d=1)
+            runs = _pattern_runs(net, np.linspace(-3.0, 3.0, 5_001), floats=4_000)
+            assert all(r <= c for r, c in zip(runs, _layer_ceilings(net.arch)))

@@ -323,6 +323,44 @@ def test_build_bits_and_shatter_net(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rect", "--a", "nan", "--b", "1"], "hyperrectangle: a must be finite"),
+    (["rect", "--a", "inf", "--b", "inf"], "hyperrectangle: a must be finite"),
+    (["rect", "--a", "0", "--b=-inf"], "hyperrectangle: b must be finite"),
+    (["pc1d", "--breakpoints", "nan", "--sides", "1", "--values", "0,1"],
+     "piece spec: breakpoints must be finite"),
+    (["pc1d", "--breakpoints", "0.5", "--sides", "1", "--values", "0,inf"],
+     "piece spec: values must be finite"),
+])
+def test_non_finite_builder_arguments_exit_2_and_name_the_argument(tmp_path, capsys,
+                                                                   argv, message):
+    # refused by the builder, before a network with a non-finite weight is made
+    out = tmp_path / "net.json"
+    assert run(["build", *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "non-finite parameter" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("labels", ["0101x", "0121", " 1,0", "011", "01101"])
+def test_bad_shatter_net_labels_exit_2_like_a_bad_payload(tmp_path, capsys, labels):
+    assert run(["build", "shatter-net", "--kind", "skip", "--m", "1", "--n", "0",
+                "--labels", labels, "-o", str(tmp_path / "net.json")]) == 2
+    assert capsys.readouterr().err == "error: labels must be 4 characters of 0/1\n"
+    assert run(["build", "decoder", "--kind", "skip", "--m", "1", "--n", "0",
+                "--payload", labels, "-o", str(tmp_path / "dec.json")]) == 2
+    assert capsys.readouterr().err == \
+        "error: payload must be 4 characters of 0/1 (or 'random')\n"
+
+
+def test_shatter_net_labels_ignore_surrounding_blanks(tmp_path, capsys):
+    plain, padded = tmp_path / "plain.json", tmp_path / "padded.json"
+    for labels, out in (("0110", plain), (" 0110 ", padded)):
+        assert run(["build", "shatter-net", "--kind", "skip", "--m", "1", "--n", "0",
+                    "--labels", labels, "-o", str(out)]) == 0
+    assert plain.read_bytes() == padded.read_bytes()
+
+
 def test_eval_grid_cap(tmp_path, capsys):
     net = tmp_path / "net.json"
     _run(capsys, "build", "rect", "--a", "0,0,0", "--b", "1,1,1", "-o", str(net))

@@ -1,6 +1,7 @@
 """Core network behavior: activation, validation, evaluation, embeddings."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from heavinet import (
     validate,
 )
 from heavinet.builders import holder_approximator
-from heavinet.networks import _forward, issparse, step_rows
+from heavinet.networks import _forward, issparse, pattern_stage, step_rows
 from heavinet.targets import TARGETS
-from netgen import position_sensitive_networks, random_network
+from netgen import APPROXIMATORS, approximator, position_sensitive_networks, random_network
 
 
 def _sparse_holder(target="x2", m=2, n=1):
@@ -291,3 +292,97 @@ def test_batch_independent_literal_grid_count(monkeypatch, columns):
     t = np.arange(1_000_001) / 1_000_000
     y = evaluate_batch(POSITION_SENSITIVE["radix(5,5,5,5)"], t[:, None])[:, 0]
     assert np.count_nonzero(y[1:] != y[:-1]) + 1 == 625
+
+
+# run heads: past pattern_stage a point's output depends only on its step
+# pattern, so evaluate_batch evaluates the suffix once per run of equal
+# patterns (run again in CI with two BLAS threads, selected by "dedup")
+
+def _one_pass(net, X, floats=2**22):
+    """Every stage on every point, without run heads, in chunks of at most
+    ``floats`` over the widest stage (a single block unless the network is
+    wide; the padded output stage makes chunking exact)."""
+    cols = X.T
+    step = max(1, floats // max(net.arch.augmented_widths()))
+    return np.concatenate([_forward(net, part, part, 0, net.arch.depth + 1).T
+                           for part in np.split(cols, range(step, cols.shape[1], step), axis=1)])
+
+
+def test_pattern_stage_of_each_kind():
+    rng = np.random.default_rng(20)
+    for _ in range(30):
+        plain = random_network(NetworkKind.PLAIN, rng)
+        assert pattern_stage(plain) == 1
+        assert pattern_stage(embed(plain, NetworkKind.SKIP)) == 1
+        assert pattern_stage(embed(plain, NetworkKind.LIN)) == 1  # no identity neuron
+        skip = random_network(NetworkKind.SKIP, rng)
+        taps = [i for i, layer in enumerate(skip.layers) if layer.V is not None]
+        assert pattern_stage(skip) == max(taps, default=0) + 1
+        lifted = embed(skip, NetworkKind.LIN)
+        assert pattern_stage(lifted) == (lifted.arch.depth if lifted.arch.depth > 1 else 1)
+    assert pattern_stage(approximator("square(5,3)")[0]) == 4  # the product layer reads no tap
+    lin = approximator("holder(x2,lin,1,0,1)")[0]
+    assert pattern_stage(lin) == lin.arch.depth
+
+
+@pytest.mark.parametrize("name", APPROXIMATORS)
+def test_dedup_matches_one_pass_on_the_approximator_grids(name):
+    net, X = approximator(name)
+    assert evaluate_batch(net, X).tobytes() == _one_pass(net, X).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(NetworkKind))
+@pytest.mark.parametrize("columns", [None, 1, 3, 8])
+def test_dedup_matches_one_pass_on_random_networks(monkeypatch, kind, columns):
+    # sorted points make long runs, shuffled ones short runs, repeated
+    # points runs that cross block boundaries
+    if columns is not None:
+        _blocks_of(monkeypatch, columns)
+    rng = np.random.default_rng(21)
+    for _ in range(25):
+        net = random_network(kind, rng)
+        X = rng.uniform(-1, 2, (300, net.arch.input_dim))
+        ordered = X[np.lexsort(X.T[::-1])]
+        for points in (ordered, rng.permutation(X), np.repeat(ordered[:40], 9, axis=0)):
+            assert evaluate_batch(net, points).tobytes() == _one_pass(net, points).tobytes()
+
+
+@pytest.mark.parametrize("name", POSITION_SENSITIVE)
+@pytest.mark.parametrize("columns", [1, 3, 8, 333])
+def test_dedup_matches_one_pass_at_every_block_size(monkeypatch, name, columns):
+    net = POSITION_SENSITIVE[name]
+    X = np.sort(np.random.default_rng(22).uniform(0, 1, (3000, 1)), axis=0)
+    want = _one_pass(net, X).tobytes()
+    _blocks_of(monkeypatch, columns)
+    assert evaluate_batch(net, X).tobytes() == want
+    assert evaluate_batch(net, X[::-1]).tobytes() == _one_pass(net, X[::-1]).tobytes()
+
+
+def test_dedup_suffix_sees_run_heads_only(monkeypatch):
+    net = approximator("square(5,3)")[0]
+    X = np.linspace(0, 1, 100_001)[:, None]
+    first = pattern_stage(net)
+    seen = {0: 0, first: 0}
+    forward = networks._forward
+
+    def spy(net, h, x, lo, hi, **kwargs):
+        seen[lo] += h.shape[-1]
+        return forward(net, h, x, lo, hi, **kwargs)
+
+    monkeypatch.setattr(networks, "_forward", spy)
+    evaluate_batch(net, X)
+    assert seen[0] == 100_001 and 0 < seen[first] <= 256
+
+
+def test_dedup_peak_memory_is_no_higher_than_every_stage_on_every_point(monkeypatch):
+    net = approximator("square(5,3)")[0]
+    X = np.linspace(0, 1, 100_001)[:, None]
+    peaks = []
+    for stage in (None, net.arch.depth + 1):
+        if stage is not None:  # no pattern suffix: every stage in blocks
+            monkeypatch.setattr(networks, "pattern_stage", lambda net: stage)
+        tracemalloc.start()
+        evaluate_batch(net, X)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
