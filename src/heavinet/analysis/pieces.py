@@ -11,10 +11,10 @@ the split differs.
 
 ``exact_pieces`` splits at the exact roots of the affine pre-activations.
 Piece values are read from direct evaluation at representative
-midpoints, and the propagated activation pattern must match the evaluation
-trace there exactly.  Adjacent pieces carrying the same output merge, and
-each surviving breakpoint gets a side flag from evaluation at the
-breakpoint itself: +1 if it matches the right piece, -1 the left.  When
+midpoints, and the propagated activation pattern must match the evaluated
+last hidden layer there exactly.  Adjacent pieces carrying the same output
+merge, and each surviving breakpoint gets a side flag from evaluation at
+the breakpoint itself: +1 if it matches the right piece, -1 the left.  When
 several neurons cross at one parameter with conflicting inclusion sides,
 the breakpoint's own value can match neither neighbor; such single-point
 pieces are kept in ``point_values`` (the two-dimensional sign-flip pattern
@@ -33,8 +33,8 @@ points of all gaps in one call.  j is the most levels that keep a round
 within ``REFINE_POINTS`` points and stop before any sub-gap reaches the
 tolerance or becomes too narrow for a float midpoint; with many open gaps
 j = 1 and a round is one bisection level.  Each open gap carries the
-last-hidden-layer pattern and the output of its two ends, read where they
-were first evaluated, so every parameter gets exactly one value per
+pattern key and the output of its two ends, read where they were first
+evaluated, so every parameter gets exactly one value per
 ``sampled_pieces`` call.  Every adjacent sub-grid pair whose values differ
 becomes a new gap.  The count never exceeds the exact one.  The sub-grid
 holds every point bisection evaluates, so where sameness is transitive
@@ -44,8 +44,11 @@ tested: sameness is then exact output equality.  Otherwise
 ``_same_value`` need not be transitive, and a round can keep fewer
 sub-gaps than bisection would count.
 
-Both analyses judge sameness of evaluated parameters by one elementwise
-rule, ``_same_value``.
+Both analyses evaluate through ``_eval_at``: one untraced pass that keeps
+the outputs and the last hidden layer only, with the same floats as a
+traced ``evaluate_batch``.  They judge sameness of evaluated parameters by
+one elementwise rule, ``_same_value``, on the outputs and one packed key
+per parameter, the last hidden layer's bits as bytes (``_pattern_keys``).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..networks import Network, evaluate_batch, step_rows
+from ..networks import Network, _forward, evaluate_batch, step_rows
 from .bounds import _layer_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
@@ -166,37 +169,65 @@ def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
     return cuts, 0.5 * (cuts[:-1] + cuts[1:])
 
 
-def _eval_at(net: Network, x1, x2, ts: np.ndarray, with_trace: bool = False):
+def _pattern_keys(pat: np.ndarray) -> np.ndarray:
+    """One key per column of a 0/1 pattern matrix (width, points): the
+    column's bits packed into bytes, as one void scalar.  Two keys are
+    equal exactly when the two columns are."""
+    packed = np.packbits(pat.T.astype(bool, order="C"), axis=1)
+    return packed.view(f"V{packed.shape[1]}")[:, 0]
+
+
+def _eval_at(net: Network, x1, x2, ts: np.ndarray):
+    """Outputs (points, outputs), the last hidden layer's 0/1 pattern
+    (width, points) and its keys at the parameters ``ts``.
+
+    One block through ``networks._forward`` with no trace, split before
+    the output stage as ``evaluate_batch`` splits its suffix: the same
+    floats as a traced ``evaluate_batch``, without holding every layer.
+    """
     pts = (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :]
-    return evaluate_batch(net, pts, with_trace=with_trace)
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInputError("evaluate_batch: non-finite input")
+    cols = pts.T
+    L = net.arch.depth
+    pat = _forward(net, cols, cols, 0, L)
+    return _forward(net, pat, None, L, L + 1).T, pat, _pattern_keys(pat)
 
 
-def _same_value(pat: np.ndarray, out: np.ndarray, i, j):
+def _same_value(key: np.ndarray, out: np.ndarray, i, j):
     """Whether evaluated parameters ``i`` and ``j`` carry the same output.
 
-    ``i`` and ``j`` index columns of ``pat`` and rows of ``out``: ints,
-    index arrays or slices, compared elementwise.  A further axis after
-    the indexed one, in both arrays, carries through to the result, so
-    ``pat`` of shape (width, points, gaps) and ``out`` of shape (points,
-    gaps, outputs) compare points along each gap.  Columns with equal
-    last-hidden-layer activation patterns are equal by construction (the
-    output is one affine map of that pattern).  Their floats agree too, in
-    any column of any call, since the output stage pads its product to a
-    column count BLAS sums in one order (``networks._forward``); the
-    pattern compare keeps sameness from resting on that property of the
-    BLAS kernels.  Different patterns compare by exact output equality,
-    which catches genuine cancellations (they are exact in the dyadic
-    constructions this package emits).
+    ``i`` and ``j`` index ``key`` and the rows of ``out``: ints, index
+    arrays or slices, compared elementwise.  A further axis after the
+    indexed one, in both arrays, carries through to the result, so ``key``
+    of shape (points, gaps) and ``out`` of shape (points, gaps, outputs)
+    compare points along each gap.  ``key`` holds one packed
+    last-hidden-layer pattern per parameter (``_pattern_keys``).  Equal
+    patterns give equal outputs by construction (the output is one affine
+    map of that pattern).  Their floats agree too, in any column of any
+    call, since the output stage pads its product to a column count BLAS
+    sums in one order (``networks._forward``); the key compare keeps
+    sameness from resting on that property of the BLAS kernels.  Different
+    patterns compare by exact output equality, which catches genuine
+    cancellations (they are exact in the dyadic constructions this
+    package emits).
     """
-    return (pat[:, i] == pat[:, j]).all(axis=0) | (out[i] == out[j]).all(axis=-1)
+    return (key[i] == key[j]) | (out[i] == out[j]).all(axis=-1)
 
 
 def _segment(net: Network, x1, x2) -> tuple[np.ndarray, np.ndarray]:
-    """Segment endpoints as flat float vectors of the network's input dimension."""
+    """Segment endpoints as flat float vectors of the network's input
+    dimension, with finite endpoints and a finite direction ``x2 - x1``."""
     x1 = np.asarray(x1, dtype=float).reshape(-1)
     x2 = np.asarray(x2, dtype=float).reshape(-1)
     if x1.shape != x2.shape or x1.shape[0] != net.arch.input_dim:
         raise InvalidInputError("segment endpoints must match the input dimension")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(x2 - x1).all()
+    if not finite:
+        raise InvalidInputError(
+            f"segment {x1.tolist()} -> {x2.tolist()}: endpoints and their difference "
+            "must be finite")
     return x1, x2
 
 
@@ -204,24 +235,19 @@ def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
     """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
     x1, x2 = _segment(net, x1, x2)
     cuts, bits = _propagate(net, x1, x2, np.array([0.0, 1.0]), _root_split)
-    # one traced evaluation covers the midpoints, the cut parameters, and
-    # the endpoints; sameness of two parameters is judged by _same_value
-    # on that call's columns
+    # one evaluation covers the midpoints, the cut parameters, and the
+    # endpoints; sameness of two parameters is judged by _same_value on
+    # that call's outputs and pattern keys
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     P, C = len(mids), len(cuts) - 2
-    out, trace = _eval_at(net, x1, x2, np.concatenate([mids, cuts[1:-1], [0.0, 1.0]]),
-                          with_trace=True)
-    pat = trace[-1]
+    out, pat, key = _eval_at(net, x1, x2, np.concatenate([mids, cuts[1:-1], [0.0, 1.0]]))
     if not np.array_equal(bits, pat[:, :P]):
         bad = int(np.nonzero(np.any(bits != pat[:, :P], axis=0))[0][0])
         raise AssertionError(
             f"piece propagation disagrees with direct evaluation at t={mids[bad]}")
 
-    # the 0/1 patterns compare as bools, an eighth of the bytes to gather
-    pat = pat.astype(bool)
-
     def same(i, j):
-        return _same_value(pat, out, i, j)
+        return _same_value(key, out, i, j)
 
     # merge adjacent interiors that carry the same output; each cut is then
     # compared with the first column of the piece on either side (not the
@@ -343,24 +369,22 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
         return starts, starts[:-1] / N
 
     starts, _ = _propagate(net, x1, x2, np.array([0, N + 1], dtype=np.int64), flip_split)
-    # one traced evaluation reads every run at its first and its last grid
-    # point, once each (a run one index long has one); each change between
+    # one evaluation reads every run at its first and its last grid point,
+    # once each (a run one index long has one); each change between
     # adjacent read points is a gap to refine, including one inside a run
     # whose head still carries its left neighbour's value
     ends = np.repeat(starts, 2)[1:-1]  # first and last index of each run
     ends[1::2] -= 1
     ts = ends[np.concatenate(([True], ends[1:] != ends[:-1]))] / N
-    out, trace = _eval_at(net, x1, x2, ts, with_trace=True)
-    pat = trace[-1]
-    changed = np.flatnonzero(~_same_value(pat, out, slice(1, None), slice(None, -1)))
+    out, _, key = _eval_at(net, x1, x2, ts)
+    changed = np.flatnonzero(~_same_value(key, out, slice(1, None), slice(None, -1)))
 
-    # refinement, all open gaps at once; every gap carries the
-    # last-hidden-layer pattern (one bool row) and the output of its ends
-    # a and b, read when they were first evaluated, so a round evaluates
-    # only the interior points of its sub-grid and every parameter gets
-    # exactly one value per call
-    a, pa, oa = ts[changed], pat.T[changed].astype(bool), out[changed]
-    b, pb, ob = ts[changed + 1], pat.T[changed + 1].astype(bool), out[changed + 1]
+    # refinement, all open gaps at once; every gap carries the pattern key
+    # and the output of its ends a and b, read when they were first
+    # evaluated, so a round evaluates only the interior points of its
+    # sub-grid and every parameter gets exactly one value per call
+    a, ka, oa = ts[changed], key[changed], out[changed]
+    b, kb, ob = ts[changed + 1], key[changed + 1], out[changed + 1]
     changes = 0
     while a.size:
         mid = 0.5 * (a + b)
@@ -369,26 +393,26 @@ def sampled_pieces(net: Network, x1, x2, N: int, refine_tol: float = 1e-12) -> i
             changes += int(np.count_nonzero(done))
             live = ~done
             a, mid, b = a[live], mid[live], b[live]
-            pa, oa, pb, ob = pa[live], oa[live], pb[live], ob[live]
+            ka, oa, kb, ob = ka[live], oa[live], kb[live], ob[live]
             if not a.size:
                 break
         grid = _sub_grid(a, mid, b, refine_tol)
         G, m = grid.shape
-        gout, gtrace = _eval_at(net, x1, x2, grid[:, 1:-1].ravel(), with_trace=True)
+        gout, _, gkey = _eval_at(net, x1, x2, grid[:, 1:-1].ravel())
         # every point of every gap, point-major, the carried ends first and
         # last; each adjacent pair whose values differ is a new gap, and a
         # gap whose ends differ keeps its last pair when every pair is the
         # same (sameness is not transitive), as bisection keeps (mid, b)
-        pats = np.empty((m, G, pa.shape[1]), dtype=bool)
-        pats[0], pats[-1] = pa, pb
-        pats[1:-1] = gtrace[-1].T.reshape(G, m - 2, -1).transpose(1, 0, 2)
+        keys = np.empty((m, G), dtype=key.dtype)
+        keys[0], keys[-1] = ka, kb
+        keys[1:-1] = gkey.reshape(G, m - 2).T
         outs = np.empty((m, G, oa.shape[1]))
         outs[0], outs[-1] = oa, ob
         outs[1:-1] = gout.reshape(G, m - 2, -1).transpose(1, 0, 2)
-        keep = ~_same_value(pats.transpose(2, 0, 1), outs, slice(None, -1), slice(1, None)).T
+        keep = ~_same_value(keys, outs, slice(None, -1), slice(1, None)).T
         keep[:, -1] |= ~keep.any(axis=1)
-        pats, outs = pats.transpose(1, 0, 2), outs.transpose(1, 0, 2)
+        keys, outs = keys.T, outs.transpose(1, 0, 2)
         a, b = grid[:, :-1][keep], grid[:, 1:][keep]
-        pa, pb = pats[:, :-1][keep], pats[:, 1:][keep]
+        ka, kb = keys[:, :-1][keep], keys[:, 1:][keep]
         oa, ob = outs[:, :-1][keep], outs[:, 1:][keep]
     return changes + 1

@@ -324,10 +324,16 @@ def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
             z = _product(W, padded)[..., :tail]
             if h.shape[-1] > tail:
                 z = np.concatenate([_product(W, h[..., :-tail]), z], axis=-1)
+        elif i < L and W.shape[-1] == 1 and isinstance(W, np.ndarray):
+            # one inner column: the outer product is the matmul's, bit for
+            # bit but for the sign of a zero, which a hidden stage only
+            # compares or carries in an identity row short of the output
+            z = W * h
         else:
             z = _product(W, h)
-        if layer.V is not None:
-            z += layer.V @ x
+        V = layer.V
+        if V is not None:
+            z += V * x if isinstance(V, np.ndarray) and V.shape[1] == 1 else V @ x
         b = np.asarray(b)[..., None]
         if i < L:
             # step(0) = 1, compared as z >= b in one pass: the rounded z - b

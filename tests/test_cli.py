@@ -69,6 +69,19 @@ def test_pieces_refine_tol_must_be_positive(tmp_path, capsys, tol):
     assert "refine_tol > 0" in captured.err
 
 
+@pytest.mark.parametrize("frm, to", [("nan", "1"), ("1e308", "-1e308")])
+def test_pieces_refuses_a_segment_that_is_not_finite(tmp_path, capsys, frm, to):
+    # a NaN endpoint used to reach propagation, and an overflowing
+    # direction x2 - x1 = -inf gave a wrong two-piece document with exit 0
+    net = tmp_path / "b.json"
+    _run(capsys, "build", "bits", "--radix", "4,2,2", "-o", str(net))
+    for sampled in ([], ["--sampled", "100"]):
+        code = run(["pieces", str(net), f"--from={frm}", f"--to={to}", *sampled])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: segment ") and "must be finite" in captured.err
+
+
 def test_holder_target_choices_are_the_target_table(capsys):
     for argv in (["build", "holder", "--kind", "skip"], ["sweep", "holder"]):
         assert run(argv + ["--m", "1", "--n", "0", "--target", "nope"]) == 2

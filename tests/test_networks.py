@@ -22,7 +22,7 @@ from heavinet import (
     networks,
     validate,
 )
-from heavinet.builders import holder_approximator
+from heavinet.builders import binary_bit_extractor_lin, holder_approximator
 from heavinet.networks import _forward, issparse, pattern_stage, step_rows
 from heavinet.targets import TARGETS
 from netgen import APPROXIMATORS, approximator, position_sensitive_networks, random_network
@@ -250,6 +250,63 @@ def test_step_compare_is_subtract_then_compare():
                 for layer in net.layers))
             X = rng.integers(-8, 17, (60, net.arch.input_dim)) / 8
             assert evaluate_batch(net, X).tobytes() == _subtract_then_compare(net, X).tobytes()
+
+
+def _matmul_forward(net, X):
+    """The forward pass with every product a matmul, the output stage's
+    padded to a multiple of ``OUTPUT_COLUMN_MULTIPLE`` columns as
+    ``_forward`` pads its leftover columns."""
+    h = x = X.T
+    L = net.arch.depth
+    for i, layer in enumerate(net.layers):
+        b = np.asarray(layer.b)[:, None]
+        if i < L:
+            z = layer.W @ h
+            if layer.V is not None:
+                z += layer.V @ x
+            p = step_rows(net.arch, i) or len(z)
+            z[p:] -= b[p:]
+            z[:p] = z[:p] >= b[:p]
+        else:
+            n = h.shape[1]
+            padded = np.zeros((len(h), -(-n // networks.OUTPUT_COLUMN_MULTIPLE)
+                               * networks.OUTPUT_COLUMN_MULTIPLE))
+            padded[:, :n] = h
+            z = (layer.W @ padded)[:, :n] - b
+        h = z
+    return h.T
+
+
+def _one_column_cases():
+    rng = np.random.default_rng(23)
+    X = np.sort(rng.uniform(-1, 2, (500, 1)), axis=0)
+    for kind in NetworkKind:
+        for k in range(10):
+            yield f"{kind.value}{k}", random_network(kind, rng, max_d=1), X
+    for name in APPROXIMATORS:
+        yield (name, *approximator(name))
+    yield "lin(12,narrow)", binary_bit_extractor_lin(12, "narrow").net, \
+        np.linspace(0, 1, 4097)[:, None]
+    # a broadcast output stage would give -1 * 0 = -0.0 where matmul gives 0.0
+    signed = Network(Architecture(NetworkKind.PLAIN, (1, 1, 2)),
+                     (LayerParams(np.array([[1.0]]), np.array([0.5])),
+                      LayerParams(np.array([[-1.0], [2.0]]), np.zeros(2))))
+    yield "signed zero", signed, X
+
+
+def test_one_column_products_match_matmul():
+    # hidden stages with one inner column (stage 0 of a one-input network,
+    # a one-column skip tap) multiply by broadcasting; the outputs are the
+    # matmul pass's, byte for byte, and so is an output stage of one column
+    seen = set()
+    for name, net, X in _one_column_cases():
+        for i, layer in enumerate(net.layers):
+            seen.update((i == net.arch.depth, M.shape[1])
+                        for M in (layer.W, layer.V) if M is not None)
+        for points in (X, X[::-1]):
+            assert evaluate_batch(net, points).tobytes() == \
+                _matmul_forward(net, points).tobytes(), name
+    assert {(False, 1), (True, 1)} <= seen  # hidden and output stages of one column
 
 
 # batch independence: a point's output is one float whatever the batch,

@@ -1,6 +1,8 @@
 """Segment partitions: worked cases, the grid cross-check, reconstruction."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +12,20 @@ from heavinet.analysis import exact_pieces, piece_bound, pieces, sampled_pieces
 from heavinet.analysis.pieces import (
     _flip_indices,
     _grid_values_dense,
+    _pattern_keys,
     _propagate,
     _root_split,
     _same_value,
 )
 from heavinet.builders import (
     binary_bit_extractor_lin,
+    holder_approximator,
     hyperrectangle_indicator,
     mixed_radix_bit_extractor,
     square_approximator,
     xor_network,
 )
+from heavinet.targets import TARGETS
 from netgen import position_sensitive_networks, random_network, random_segment
 
 POSITION_SENSITIVE = position_sensitive_networks()
@@ -111,9 +116,9 @@ def test_sampled_evaluates_each_parameter_once(monkeypatch):
     # only its midpoints and no parameter is evaluated twice in one call
     eval_at, calls = pieces._eval_at, []
 
-    def counted(net, x1, x2, ts, with_trace=False):
+    def counted(net, x1, x2, ts):
         calls.append(np.array(ts))
-        return eval_at(net, x1, x2, ts, with_trace=with_trace)
+        return eval_at(net, x1, x2, ts)
 
     monkeypatch.setattr(pieces, "_eval_at", counted)
     net = mixed_radix_bit_extractor((16, 8, 4, 4)).net
@@ -142,9 +147,9 @@ def test_sampled_refines_many_levels_per_call(monkeypatch):
     # splits each gap as many levels deep as its point budget allows
     eval_at, calls = pieces._eval_at, []
 
-    def counted(net, x1, x2, ts, with_trace=False):
+    def counted(net, x1, x2, ts):
         calls.append(np.array(ts))
-        return eval_at(net, x1, x2, ts, with_trace=with_trace)
+        return eval_at(net, x1, x2, ts)
 
     monkeypatch.setattr(pieces, "_eval_at", counted)
     net = hyperrectangle_indicator([0.3], [0.6]).net
@@ -221,15 +226,72 @@ def test_same_value_elementwise_equals_scalar_rule():
         cases.append((rng.integers(0, 2, (2, 30)).astype(float),
                       rng.integers(0, 2, (30, 2)).astype(float)))
         for pat, out in cases:
+            key = _pattern_keys(pat)
             i, j = rng.integers(0, 30, 200), rng.integers(0, 30, 200)
-            assert _same_value(pat, out, i, j).tolist() == \
+            assert _same_value(key, out, i, j).tolist() == \
                 [scalar(pat, out, a, b) for a, b in zip(i, j)]
             for si, sj in [(slice(0, 29), slice(1, 30)), (slice(1, None, 3), slice(0, None, 3)),
                            (slice(1, None, 3), slice(2, None, 3))]:
                 want = [scalar(pat, out, a, b)
                         for a, b in zip(range(30)[si], range(30)[sj])]
-                assert _same_value(pat, out, si, sj).tolist() == want
-            assert _same_value(pat, out, 3, 3)
+                assert _same_value(key, out, si, sj).tolist() == want
+            assert _same_value(key, out, 3, 3)
+
+
+def test_pattern_keys_equal_exactly_when_rows_do():
+    # widths on both sides of every multiple of 8 up to 64: random rows,
+    # copies of them, and copies that differ only in their last bit, the
+    # one beside the padding of the last byte
+    rng = np.random.default_rng(68)
+    for width in range(1, 71):
+        pat = rng.integers(0, 2, (width, 40)).astype(float)
+        pat[:, 20:30] = pat[:, :10]
+        pat[:, 30:40] = pat[:, :10]
+        pat[-1, 30:40] = 1.0 - pat[-1, :10]
+        key = _pattern_keys(pat)
+        assert key.shape == (40,)
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(40), np.arange(40)))
+        want = (pat[:, i] == pat[:, j]).all(axis=0)
+        assert (key[i] == key[j]).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("x1, x2", [([math.nan], [1.0]), ([0.0], [math.inf]),
+                                    ([1e308], [-1e308])])
+def test_segment_must_be_finite(x1, x2):
+    # refused before propagation: no warning from arithmetic on NaN or
+    # infinity, and no partition of an overflowing direction x2 - x1
+    net = mixed_radix_bit_extractor((4, 2, 2)).net
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="segment .* must be finite"):
+            exact_pieces(net, x1, x2)
+        with pytest.raises(InvalidInputError, match="segment .* must be finite"):
+            sampled_pieces(net, x1, x2, 100)
+
+
+def test_deep_lin_pieces_hold_no_full_trace(monkeypatch):
+    # a 173-stage lin network: each analysis keeps the last hidden layer of
+    # its points, not every layer, so its peak stays well under the bytes
+    # of a full float trace of its largest evaluation
+    net = holder_approximator("lin", TARGETS["x3mx"].holder_config(1, 0, 1)).net
+    rows = sum(net.arch.augmented_widths()[1:-1])
+    eval_at, columns = pieces._eval_at, []
+
+    def counted(net, x1, x2, ts):
+        columns.append(len(ts))
+        return eval_at(net, x1, x2, ts)
+
+    monkeypatch.setattr(pieces, "_eval_at", counted)
+    for count in (lambda *a: exact_pieces(*a).piece_count,
+                  lambda *a: sampled_pieces(*a, 10**6, 1e-9)):
+        columns.clear()
+        tracemalloc.start()
+        try:
+            assert count(net, [0.0], [1.0]) == 512
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * max(columns) * 8 / 2
 
 
 @pytest.mark.parametrize("family, spec", [
@@ -320,7 +382,7 @@ def test_partition_reconstruction():
             pts = (1 - all_ts)[:, None] * np.asarray(x1)[None, :] \
                 + all_ts[:, None] * np.asarray(x2)[None, :]
             out, trace = evaluate_batch(net, pts, with_trace=True)
-            pat = trace[-1]
+            key = _pattern_keys(trace[-1])
             n_t = len(ts)
             on_bp = set(float(t) for t in part.breakpoints) | set(part.point_values)
             for i, t in enumerate(all_ts[:n_t]):
@@ -329,7 +391,7 @@ def test_partition_reconstruction():
                                    atol=4e-16 * (1 + float(np.max(np.abs(expected)))))
                 if float(t) not in on_bp:
                     piece = int(np.searchsorted(part.breakpoints, float(t)))
-                    assert _same_value(pat, out, i, n_t + piece), f"t={t}"
+                    assert _same_value(key, out, i, n_t + piece), f"t={t}"
 
 
 def test_partition_reconstruction_exact_for_dyadic_builders():
