@@ -11,7 +11,6 @@ from .bounds import BoundReport, approx_lower_bound, bound_report, piece_bound, 
 from .certify import ShatterCertificate, shatter_verify
 from .pieces import SegmentPartition, exact_pieces, sampled_pieces
 from .sup import SupErrorResult, axis_grid, sup_error
-from .taylor import taylor_reference, taylor_reference_batch
 
 __all__ = [
     "DigitVector", "mixed_radix_digits",
@@ -19,5 +18,4 @@ __all__ = [
     "SupErrorResult", "sup_error", "axis_grid",
     "BoundReport", "bound_report", "piece_bound", "approx_lower_bound", "vc_upper_bound",
     "ShatterCertificate", "shatter_verify",
-    "taylor_reference", "taylor_reference_batch",
 ]

@@ -15,7 +15,7 @@ from ..builders.shatter import (
     shatter_points,
     shatter_template,
 )
-from ..errors import ResourceLimitError
+from ..errors import InvalidInputError, ResourceLimitError
 from ..networks import _forward
 
 __all__ = ["ShatterCertificate", "shatter_verify"]
@@ -122,6 +122,8 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     about a second.  The filled weights are bit-identical to the literal
     ``shattering_net`` build of each labeling.
     """
+    if sample_labelings is not None and sample_labelings < 1:
+        raise InvalidInputError(f"sample_labelings must be at least 1, got {sample_labelings}")
     points = shatter_points(kind, m, n, t)
     npts = len(points)
     exhaustive = sample_labelings is None

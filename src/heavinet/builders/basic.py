@@ -48,7 +48,7 @@ def hyperrectangle_indicator(a, b) -> BuiltNetwork:
         faces.append(nb.step({i: 1.0}, bias=-float(a[i])))   # x_i >= a_i
         faces.append(nb.step({i: -1.0}, bias=float(b[i])))   # x_i <= b_i
     nb.new_layer()
-    hit = nb.step({f: 1.0 for f in faces}, bias=-(2 * d) + 0.5)
+    hit = nb.all_of(faces)
     nb.output([{hit: 1.0}], [0.0])
     net, probes = nb.build()
     return BuiltNetwork(net, None, probes,

@@ -29,6 +29,7 @@ __all__ = [
     "binary_bit_extractor_lin",
     "grow_radix_readouts",
     "grow_binary_bits_lin",
+    "grow_narrow_digit",
 ]
 
 
@@ -81,6 +82,21 @@ def grow_binary_bits_lin(nb: NetBuilder, nbits: int, coords=(0,)) -> dict[tuple[
     return digits
 
 
+def grow_narrow_digit(nb: NetBuilder, rem: int, bit: int | None, ell: int,
+                      levels: int) -> tuple[int, int | None]:
+    """One narrow extraction step: digit ``ell`` of a value in [0, 1) and,
+    unless ``ell`` is the last of ``levels``, its next remainder.
+
+    ``rem`` carries the remainder ``r = x - sum_{i<ell-1} b_i 2^-i`` on the
+    previous layer and ``bit`` its digit ``ell - 1`` (None at ``ell = 1``,
+    where ``rem`` is x itself).  Returns the handles of
+    ``b_ell = step(r - b_{ell-1} 2^-(ell-1) - 2^-ell)`` and of the identity
+    neuron carrying ``r - b_{ell-1} 2^-(ell-1)`` (None after the last level).
+    """
+    row = {rem: 1.0} if bit is None else {rem: 1.0, bit: -(2.0 ** -(ell - 1))}
+    return nb.step(row, bias=-(2.0 ** -ell)), (nb.linear(row) if ell < levels else None)
+
+
 def mixed_radix_bit_extractor(radix) -> BuiltNetwork:
     """Skip network exposing ``step(b_l(x) >= t)`` for every digit and level.
 
@@ -125,16 +141,11 @@ def binary_bit_extractor_lin(L: int, variant: str = "narrow") -> BuiltNetwork:
             nb.tag(f"b{r}", h)
         nb.output([{h: 2.0 ** -r for (_, r), h in digits.items()}], [0.0])
     else:
-        nb.new_layer()
-        bit = nb.tag("b1", nb.step({0: 1.0}, bias=-0.5))
-        rem = nb.linear({0: 1.0}) if L > 1 else None
-        for ell in range(2, L + 1):
-            row = {rem: 1.0, bit: -(2.0 ** -(ell - 1))}
+        rem, bit = 0, None  # the remainder before digit 1 is the input x
+        for ell in range(1, L + 1):
             nb.new_layer()
-            new_bit = nb.tag(f"b{ell}", nb.step(dict(row), bias=-(2.0 ** -ell)))
-            if ell < L:
-                rem = nb.linear(dict(row))
-            bit = new_bit
+            bit, rem = grow_narrow_digit(nb, rem, bit, ell, L)
+            nb.tag(f"b{ell}", bit)
         nb.output([{bit: 1.0}], [0.0])
     net, probes = nb.build()
     return BuiltNetwork(net, None, probes,

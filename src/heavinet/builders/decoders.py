@@ -14,17 +14,19 @@ lexicographic order over (coordinate, level).  Decoder inputs use the same
 coordinate-major layout: input slot ``i * levels + (l - 1)`` carries digit
 ``l`` of coordinate ``i``.
 
-Skip decoding runs one slice per r value: a bank of cell-index indicator
-neurons, a stored-bit row selection, an AND with the k-hit, and the slice
-output ``eta * step(r(x) = r)``; slices occupy staggered consecutive layers
-and a running-sum neuron accumulates their outputs.  ``grow_skip_decoder_bank``
-is the one generator of these slice stacks: inside a host network it
-forwards the digit bits, and the standalone skip decoder is the same bank
-on an empty builder, whose later slices read the digits through skip
-taps.  Lin decoding packs
-each stored-bit column into a dyadic real ``0.eta_1...eta_R``, selects it
-with identity neurons, and streams the digits back out with the narrow
-binary extractor.
+Skip decoding runs one slice per r value in four stages: (A) a bank of
+cell-index indicator neurons, (B) a stored-bit row selection (an OR), (C)
+an AND with the k-hit, and (D) the slice output ``eta * step(r(x) = r)``.
+``_decode_slice`` states these stages once.  ``grow_skip_decoder_bank``
+staggers the slices over consecutive layers, with a running OR of their
+outputs: inside a host network it forwards the digit bits, and the
+standalone skip decoder is the same bank on an empty builder, whose later
+slices read the digits through skip taps.  The plain one-slice decoder
+(``r_select``) runs stages A-C of its slice and makes stage D's row its
+output.  Lin decoding packs each stored-bit column into a dyadic real
+``0.eta_1...eta_R``, selects it with identity neurons, and streams the
+digits back out with the narrow extractor's digit step
+(``bits.grow_narrow_digit``).
 
 Skip variants shift their output by -1/2 so that thresholding recovers the
 stored bit even when it is 0 (the step activation fires at zero); the lin
@@ -39,6 +41,7 @@ import numpy as np
 
 from ..errors import InvalidInputError, PrecisionError
 from ..networks import NetworkKind
+from .bits import grow_narrow_digit
 from .built import BuiltNetwork, Construction
 from .dsl import NetBuilder
 
@@ -169,11 +172,44 @@ def _indicator_row(targets: list[tuple[int, int]]) -> tuple[dict[int, float], fl
     return weights, bias
 
 
-def _dedup(handles) -> list[int]:
-    seen: dict[int, None] = {}
-    for h in handles:
-        seen.setdefault(h)
-    return list(seen)
+def _decode_slice(nb: NetBuilder, geom: CellGeometry, payload: np.ndarray, r: int,
+                  bits, taps: bool, sites: list | None = None, first_cell: int = 0):
+    """Decode slice r, one stage per ``next`` into the builder's current layer.
+
+    Stage A builds the cell-index indicators from the digit ``bits``
+    (handles in the previous layer, or input coordinates read through skip
+    taps when ``taps``), stage B selects the stored-bit row for j(x), and
+    stage C ANDs each stored bit with its k-hit.  The third step yields
+    stage D's row and bias, ``eta * step(r(x) = r) = step(row . h + bias)``
+    over the stage-C layer; the fourth emits that neuron and yields it.
+    Stage-B sites are reported as in ``grow_skip_decoder_bank``, with cells
+    counted from ``first_cell``.
+    """
+    gj, gk, gr = geom.group_levels()
+    J, K, R = geom.sizes
+
+    def ind(group, index):
+        row, bias = _indicator_row(geom.target_bits(group, index))
+        weights = {bits[s]: w for s, w in row.items()}
+        return nb.step({}, bias=bias, inp=weights) if taps else nb.step(weights, bias=bias)
+
+    jind = [ind(gj, j) for j in range(1, J + 1)]
+    khit = [ind(gk, k) for k in range(1, K + 1)]
+    rhit = ind(gr, r)
+    yield
+    eta = []
+    for k in range(K):
+        eta.append(nb.any_of([hj for j, hj in enumerate(jind) if payload[j, k, r - 1]]))
+        if sites is not None:
+            sites.extend((eta[-1], hj, first_cell + (j * K + k) * R + r - 1, 1.0)
+                         for j, hj in enumerate(jind))
+    khit = [nb.forward(h) for h in khit]
+    rhit = nb.forward(rhit)
+    yield
+    ands = [nb.all_of([e, h]) for e, h in zip(eta, khit)]
+    out = dict.fromkeys(ands + [nb.forward(rhit)], 1.0), -1.5
+    yield out
+    yield nb.step(*out)
 
 
 def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[int],
@@ -199,78 +235,31 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
     geom = tables[0].geometry
     if any(t.geometry != geom for t in tables):
         raise InvalidInputError("bank tables must share one geometry")
-    gj, gk, gr = geom.group_levels()
     J, K, R = geom.sizes
     carry = list(carry)
     tapped = not nb.layers  # bits are input coordinates
     forwarded = [] if tapped else list(bits)
-    cur = {h: h for h in _dedup(carry + forwarded)}
-    stages: list[dict[int, dict]] = [{} for _ in tables]
-    accums: list[int | None] = [None] * len(tables)
+    cur = {h: h for h in dict.fromkeys(carry + forwarded)}
+    slices = [[] for _ in tables]  # slice r of table ti at slices[ti][r - 1]
+    outs: list[int | None] = [None] * len(tables)  # the latest slice output
+    sums: list[list[int]] = [[] for _ in tables]  # OR of the earlier outputs
 
     for depth in range(1, R + 4):
-        prev_cur = cur
-        prev_stages = stages
-        bits_prev = bits if tapped else ([prev_cur[h] for h in bits] if depth <= R else [])
+        read = bits if tapped or depth > R else [cur[h] for h in bits]
         nb.new_layer()
-        keep = _dedup(carry + (forwarded if depth <= R - 1 else []))
-        cur = {h: nb.forward(prev_cur[h]) for h in keep}
-        stages = [{} for _ in tables]
+        cur = {h: nb.forward(cur[h])
+               for h in dict.fromkeys(carry + (forwarded if depth <= R - 1 else []))}
         for ti, table in enumerate(tables):
-            payload = table.payload
-            prev = prev_stages[ti]
-            r = depth
-            if r <= R:  # stage A of slice r: index-indicator banks
-                def ind(group, index):
-                    row, bias = _indicator_row(geom.target_bits(group, index))
-                    taps = {bits_prev[s]: w for s, w in row.items()}
-                    if tapped and depth > 1:
-                        return nb.step({}, bias=bias, inp=taps)
-                    return nb.step(taps, bias=bias)
-                stages[ti][r] = {"j": [ind(gj, j) for j in range(1, J + 1)],
-                                 "k": [ind(gk, k) for k in range(1, K + 1)],
-                                 "r": ind(gr, r)}
-            r = depth - 1
-            if 1 <= r <= R:  # stage B: select the stored-bit row for j(x)
-                blk = prev[r]
-                eta = []
-                for k in range(K):
-                    h = nb.step({hj: 1.0 for j, hj in enumerate(blk["j"])
-                                 if payload[j, k, r - 1]}, bias=-0.5)
-                    if sites is not None:
-                        sites.extend((h, hj, ((ti * J + j) * K + k) * R + r - 1, 1.0)
-                                     for j, hj in enumerate(blk["j"]))
-                    eta.append(h)
-                stages[ti][r] = {
-                    "eta": eta,
-                    "k": [nb.forward(h) for h in blk["k"]],
-                    "r": nb.forward(blk["r"]),
-                }
-            r = depth - 2
-            if 1 <= r <= R:  # stage C: AND each stored bit with its k-hit
-                blk = prev[r]
-                stages[ti][r] = {"and": [nb.step({e: 1.0, kk: 1.0}, bias=-1.5)
-                                         for e, kk in zip(blk["eta"], blk["k"])],
-                                 "r": nb.forward(blk["r"])}
-            r = depth - 3
-            if 1 <= r <= R:  # stage D: slice output eta * step(r(x) = r)
-                blk = prev[r]
-                row = {h: 1.0 for h in blk["and"]}
-                row[blk["r"]] = row.get(blk["r"], 0.0) + 1.0
-                stages[ti][r] = {"out": nb.step(row, bias=-1.5)}
-            # running sum of finished slice outputs
-            if depth == 5 and R >= 2:
-                accums[ti] = nb.forward(prev_stages[ti][1]["out"])
-            elif depth >= 6:
-                accums[ti] = nb.step({accums[ti]: 1.0,
-                                      prev_stages[ti][depth - 4]["out"]: 1.0}, bias=-0.5)
-    groups = []
-    for ti in range(len(tables)):
-        parts = [stages[ti][R]["out"]]
-        if accums[ti] is not None:
-            parts.append(accums[ti])
-        groups.append(parts)
-    return groups, [cur[h] for h in carry]
+            if depth <= R:
+                slices[ti].append(_decode_slice(nb, geom, table.payload, depth, read,
+                                                tapped and depth > 1, sites, ti * J * K * R))
+            # stages A, B, C and D of slices depth, depth-1, depth-2 and depth-3
+            staged = [next(s) for s in reversed(slices[ti][max(0, depth - 4):depth])]
+            if depth >= 5:
+                sums[ti] = [nb.any_of(sums[ti] + [outs[ti]])]
+            if depth >= 4:
+                outs[ti] = staged[-1]
+    return [[out, *acc] for out, acc in zip(outs, sums)], [cur[h] for h in carry]
 
 
 def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
@@ -297,116 +286,81 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     if R > 52:
         raise PrecisionError(f"R = {R} packed digits exceed a float64 significand")
     chunk = 2 ** (geom.m * geom.d)
-    payload = table.payload
-    lam = payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
+    lam = table.payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
+
+    def ind(targets):
+        row, bias = _indicator_row(targets)
+        return nb.step({read[s]: w for s, w in row.items()}, bias=bias)
 
     carry = list(carry)
-    cur = {h: h for h in _dedup(list(carry) + list(bits))}
-    jind: list[int] = []
-    lam_acc: list[int] = []
-    lam_bit: list[int] = []
-    lam_rem: list[int] = []
-    pair: list[int] = []
-    rho: list[int] = []
-    total: int | None = None
+    cur = {h: h for h in dict.fromkeys(carry + list(bits))}
+    jind: list[int] = []  # one chunk of cell-index indicators
+    acc: list[int] = []  # identity accumulators of the packed columns
+    # per packed column, the narrow extraction's remainder carrier and digit
+    # (the accumulator and None before digit 1)
+    rem: list = []
+    bit: list = []
+    pair: list[int] = []  # joint (k, r)-hit indicators
+    rho: list[int] = []  # selected bits of one slice
+    total: list[int] = []  # OR of the earlier slices' selected bits
     absorbed: list[int] = []
 
     for depth in range(1, 2 * R + 3):
-        prev_cur = cur
-        prev = {"jind": jind, "lam_acc": lam_acc, "lam_bit": lam_bit,
-                "lam_rem": lam_rem, "pair": pair, "rho": rho, "total": total}
-        bits_prev = [prev_cur[h] for h in bits] if depth <= 2 * R + 1 else []
+        read = [cur[h] for h in bits] if depth <= 2 * R + 1 else []
         nb.new_layer()
-        keep = _dedup(carry + (bits if depth <= 2 * R else []))
-        cur = {h: nb.forward(prev_cur[h]) for h in keep}
+        cur = {h: nb.forward(cur[h])
+               for h in dict.fromkeys(carry + (bits if depth <= 2 * R else []))}
         if depth == 1:
-            absorbed = [nb.step({h: 1.0 for h in group}, bias=-0.5) for group in absorb]
+            absorbed = [nb.any_of(group) for group in absorb]
         else:
             absorbed = [nb.forward(h) for h in absorbed]
-        jind, lam_acc, lam_bit, lam_rem, pair, rho = [], [], [], [], [], []
-        total = None
+        prev_jind, prev_acc, prev_rem, prev_bit, prev_pair = jind, acc, rem, bit, pair
+        ell = depth - R - 1  # the digit level extracted at this depth
         if depth <= R:
             # stage A: chunk #depth of cell-index indicators
-            for j in range((depth - 1) * chunk + 1, depth * chunk + 1):
-                row, bias = _indicator_row(geom.target_bits(gj, j))
-                jind.append(nb.step({bits_prev[s]: w for s, w in row.items()}, bias=bias))
+            jind = [ind(geom.target_bits(gj, j))
+                    for j in range((depth - 1) * chunk + 1, depth * chunk + 1)]
         if 2 <= depth <= R + 1:
             # identity accumulators folding chunk depth-1 into the packed columns
             base = (depth - 2) * chunk
+            acc = []
             for k in range(K):
                 row = {h: float(lam[base + jj, k])
-                       for jj, h in enumerate(prev["jind"]) if lam[base + jj, k] != 0.0}
-                if prev["lam_acc"]:
-                    row[prev["lam_acc"][k]] = 1.0
-                h = nb.linear(row)
+                       for jj, h in enumerate(prev_jind) if lam[base + jj, k] != 0.0}
+                if prev_acc:
+                    row[prev_acc[k]] = 1.0
+                acc.append(nb.linear(row))
                 if sites is not None:
-                    sites.extend((h, hj, ((base + jj) * K + k) * R + r, 0.5 ** (r + 1))
-                                 for jj, hj in enumerate(prev["jind"]) for r in range(R))
-                lam_acc.append(h)
-        if R + 2 <= depth <= 2 * R + 1:
-            ell = depth - R - 1
-            # joint (k, r)-hit indicators from the forwarded bits
-            for k in range(1, K + 1):
-                row, bias = _indicator_row(geom.target_bits(gk, k) + geom.target_bits(gr, ell))
-                pair.append(nb.step({bits_prev[s]: w for s, w in row.items()}, bias=bias))
-            # narrow extraction: digit ell of every packed column
-            if ell == 1:
-                for k in range(K):
-                    lam_bit.append(nb.step({prev["lam_acc"][k]: 1.0}, bias=-0.5))
-                    if R >= 2:
-                        lam_rem.append(nb.linear({prev["lam_acc"][k]: 1.0}))
-            else:
-                for k in range(K):
-                    row = {prev["lam_rem"][k]: 1.0,
-                           prev["lam_bit"][k]: -(2.0 ** -(ell - 1))}
-                    lam_bit.append(nb.step(dict(row), bias=-(2.0 ** -ell)))
-                    if ell < R:
-                        lam_rem.append(nb.linear(dict(row)))
-        if R + 3 <= depth <= 2 * R + 2:
-            # selected bits of slice ell: digit AND (k, r)-hit
-            rho = [nb.step({e: 1.0, p: 1.0}, bias=-1.5)
-                   for e, p in zip(prev["lam_bit"], prev["pair"])]
-            if depth == R + 4 and R >= 2:
-                total = nb.step({h: 1.0 for h in prev["rho"]}, bias=-0.5)
-            elif depth >= R + 5:
-                row = {h: 1.0 for h in prev["rho"]}
-                row[prev["total"]] = 1.0
-                total = nb.step(row, bias=-0.5)
-    parts = list(rho)
-    if total is not None:
-        parts.append(total)
-    return parts, [cur[h] for h in carry] + absorbed
+                    sites.extend((acc[-1], hj, ((base + jj) * K + k) * R + r, 0.5 ** (r + 1))
+                                 for jj, hj in enumerate(prev_jind) for r in range(R))
+            rem, bit = acc, [None] * K  # the packed columns are the first remainders
+        if 1 <= ell <= R:
+            # joint (k, r)-hit indicators, then digit ell of every packed column
+            pair = [ind(geom.target_bits(gk, k) + geom.target_bits(gr, ell))
+                    for k in range(1, K + 1)]
+            bit, rem = map(list, zip(*[grow_narrow_digit(nb, rm, b, ell, R)
+                                       for rm, b in zip(prev_rem, prev_bit)]))
+        if 2 <= ell <= R + 1:
+            # selected bits of slice ell-1: digit AND (k, r)-hit
+            prev_rho, rho = rho, [nb.all_of([e, p]) for e, p in zip(prev_bit, prev_pair)]
+            if ell >= 3:
+                total = [nb.any_of(prev_rho + total)]
+    return rho + total, [cur[h] for h in carry] + absorbed
 
 
 def _slice_decoder(table: BitTable, r_select: int) -> BuiltNetwork:
     """Plain three-hidden-layer decoder for one fixed r slice."""
     geom = table.geometry
-    gj, gk, gr = geom.group_levels()
-    J, K, R = geom.sizes
+    R = geom.sizes[2]
     if not 1 <= r_select <= R:
         raise InvalidInputError(f"r_select={r_select} outside 1..{R}")
-    payload = table.payload
     nb = NetBuilder(geom.d * geom.levels, NetworkKind.PLAIN)
-    nb.new_layer()
-
-    def ind(group, index):
-        row, bias = _indicator_row(geom.target_bits(group, index))
-        return nb.step(dict(row), bias=bias)
-
-    jind = [ind(gj, j) for j in range(1, J + 1)]
-    kind = [ind(gk, k) for k in range(1, K + 1)]
-    rind = ind(gr, r_select)
-    nb.new_layer()
-    eta = [nb.step({h: 1.0 for j, h in enumerate(jind)
-                    if payload[j, k, r_select - 1]}, bias=-0.5) for k in range(K)]
-    kfwd = [nb.forward(h) for h in kind]
-    rfwd = nb.forward(rind)
-    nb.new_layer()
-    hits = [nb.step({e: 1.0, kk: 1.0}, bias=-1.5) for e, kk in zip(eta, kfwd)]
-    rfwd = nb.forward(rfwd)
-    out_row = {h: 1.0 for h in hits}
-    out_row[rfwd] = 1.0
-    nb.output([out_row], [-1.5])
+    stages = _decode_slice(nb, geom, table.payload, r_select, range(nb.input_dim), taps=False)
+    for _ in range(3):  # stages A, B and C
+        nb.new_layer()
+        staged = next(stages)
+    row, bias = staged  # stage D's row is the output
+    nb.output([row], [bias])
     net, probes = nb.build()
     return BuiltNetwork(net, None, probes,
                         Construction("decoder", {"kind": "skip", "d": geom.d, "m": geom.m,

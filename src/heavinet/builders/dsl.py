@@ -2,7 +2,9 @@
 
 Builders add neurons one hidden layer at a time.  A neuron is described by
 its weights on previous-layer neurons (by handle), optional taps on the raw
-input (skip rows), a bias, and its activation (step or identity).  ``build``
+input (skip rows), a bias, and its activation (step or identity).  The
+binary gates are stated once here: ``forward`` carries a binary neuron,
+``all_of`` and ``any_of`` are the AND and OR of binary neurons.  ``build``
 packs everything into weight matrices, pads identity neurons to a uniform
 per-layer count for the lin kind, and returns the ``Network``, which
 validates itself when made: a builder that breaks a rule of its class gets
@@ -105,6 +107,24 @@ class NetBuilder:
         """Carry a binary neuron one layer: b = step(b - 1/2)."""
         return self.step({handle: 1.0}, bias=-0.5)
 
+    def all_of(self, handles: list[int]) -> int:
+        """AND of binary neurons, ``step(sum b - n + 1/2)`` over the n handles:
+        fires iff every one is 1, so always when there are none.  A repeated
+        handle counts each time (``all_of([a, a])`` is ``step(2a - 3/2)``)."""
+        row: dict[int, float] = {}
+        for h in handles:
+            row[h] = row.get(h, 0.0) + 1.0
+        return self.step(row, bias=0.5 - len(handles))
+
+    def any_of(self, handles: list[int]) -> int:
+        """OR of binary neurons, ``step(sum b - 1/2)``: fires iff some handle
+        is 1, so never when there are none.  A repeated handle counts each
+        time, as in ``all_of``."""
+        row: dict[int, float] = {}
+        for h in handles:
+            row[h] = row.get(h, 0.0) + 1.0
+        return self.step(row, bias=-0.5)
+
     def tag(self, label: str, handle: int) -> int:
         self.probes[label] = handle
         return handle
@@ -139,18 +159,11 @@ class NetBuilder:
 
         step_counts, lin_counts = [], []
         for neurons in self.layers:
-            n_lin = sum(n.linear for n in neurons)
-            lin_counts.append(n_lin)
-            step_counts.append(len(neurons) - n_lin)
-            pos = 0
-            for n in neurons:
-                if not n.linear:
-                    n.slot = pos
-                    pos += 1
-            for n in neurons:
-                if n.linear:
-                    n.slot = pos
-                    pos += 1
+            # step neurons first, identity neurons after, each in insertion order
+            for slot, n in enumerate(sorted(neurons, key=lambda n: n.linear)):
+                n.slot = slot
+            lin_counts.append(sum(n.linear for n in neurons))
+            step_counts.append(len(neurons) - lin_counts[-1])
         if any(c == 0 for c in step_counts):
             raise InvalidInputError("every hidden layer needs at least one step neuron")
 
@@ -197,12 +210,7 @@ class NetBuilder:
             # builder biases are additive constants; stages compute W h + V x - b
             layer_params.append(LayerParams(W, -bias, V))
 
-        if self.kind is NetworkKind.SKIP:
-            arch = Architecture(NetworkKind.SKIP, widths, tuple(skip_counts), 0)
-        elif self.kind is NetworkKind.LIN:
-            arch = Architecture(NetworkKind.LIN, widths, (), s)
-        else:
-            arch = Architecture(NetworkKind.PLAIN, widths, (), 0)
+        arch = Architecture(self.kind, widths, tuple(skip_counts), s)
         net = Network(arch, tuple(layer_params))
         probes = {label: (self._by_handle[h].layer + 1, self._by_handle[h].slot)
                   for label, h in self.probes.items()}

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -46,17 +47,8 @@ def multi_indices(d: int, beta: float) -> list[tuple[int, ...]]:
         raise InvalidInputError("multi indices need d >= 1 and beta > 0")
     limit = int(math.ceil(beta)) - 1 if float(beta).is_integer() else int(math.floor(beta))
 
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == d:
-            out.append(prefix)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v)
-
-    rec((), limit)
-    return sorted(out, key=lambda a: (sum(a), a))
+    alphas = (a for a in product(range(limit + 1), repeat=d) if sum(a) <= limit)
+    return sorted(alphas, key=lambda a: (sum(a), a))
 
 
 def alpha_positions(alpha: tuple[int, ...]) -> list[int]:
@@ -112,12 +104,11 @@ def _quantized_bit_tables(config: HolderConfig, geom: CellGeometry, q: int
                           ) -> dict[tuple[tuple[int, ...], int], BitTable]:
     """Leading q bits of the rescaled derivative values, one table per
     (alpha, bit position)."""
-    cells = list(geom.all_cells())
-    centers = np.array([geom.cell_center(j, k, r) for j, k, r in cells])
+    centers = np.array([geom.cell_center(*cell) for cell in geom.all_cells()])
     tables: dict[tuple[tuple[int, ...], int], BitTable] = {}
     for alpha in config.alphas():
         B = float(config.bounds[alpha])
-        vals = np.asarray(config.deriv(alpha, centers), dtype=float).reshape(len(cells))
+        vals = np.asarray(config.deriv(alpha, centers), dtype=float).reshape(len(centers))
         scaled = (vals + B) / (2.0 * B)
         if np.any(scaled < 0.0) or np.any(scaled > 1.0):
             raise InvalidInputError(
@@ -125,11 +116,8 @@ def _quantized_bit_tables(config: HolderConfig, geom: CellGeometry, q: int
         ints = np.floor(scaled * float(2**q)).astype(np.int64)
         ints = np.minimum(ints, 2**q - 1)
         for ell in range(1, q + 1):
-            bit = (ints >> (q - ell)) & 1
-            payload = np.zeros(geom.sizes, dtype=int)
-            for (j, k, r), b in zip(cells, bit):
-                payload[j - 1, k - 1, r - 1] = int(b)
-            tables[(alpha, ell)] = BitTable(geom, payload)
+            # the cells run in payload order
+            tables[(alpha, ell)] = BitTable(geom, ((ints >> (q - ell)) & 1).reshape(geom.sizes))
     return tables
 
 
@@ -161,31 +149,15 @@ def _product_layer_and_output(nb: NetBuilder, config: HolderConfig, geom: CellGe
         coords = alpha_positions(alpha)
         order = len(coords)
 
-        def emit(ell0: int, ells: tuple[int, ...]):
-            row: dict[int, float] = {}
-            zeros = (1 if ell0 == 0 else 0) + sum(1 for e in ells if e == 0)
-            if ell0 > 0:
-                h = eta_handles[(alpha, ell0)]
-                row[h] = row.get(h, 0.0) + 1.0
-            for kappa, e in enumerate(ells):
-                if e > 0:
-                    h = digit_handles[coords[kappa] * q + (e - 1)]
-                    row[h] = row.get(h, 0.0) + 1.0
-            neuron = nb.step(row, bias=zeros - order - 0.5)
-            coeff = c_eta[ell0] / fact
-            for e in ells:
-                coeff *= c_b[e]
-            out_row[neuron] = coeff
-
-        def rec(ells: tuple[int, ...]):
-            if len(ells) == order:
-                for ell0 in range(q + 1):
-                    emit(ell0, ells)
-                return
-            for e in b_positions:
-                rec(ells + (e,))
-
-        rec(())
+        for ells in product(b_positions, repeat=order):
+            digits = [digit_handles[coords[kappa] * q + (e - 1)]
+                      for kappa, e in enumerate(ells) if e > 0]
+            for ell0 in range(q + 1):
+                neuron = nb.all_of(([eta_handles[(alpha, ell0)]] if ell0 else []) + digits)
+                coeff = c_eta[ell0] / fact
+                for e in ells:
+                    coeff *= c_b[e]
+                out_row[neuron] = coeff
     nb.output([out_row], [0.0])
 
 
@@ -213,8 +185,7 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
         groups, carry = grow_skip_decoder_bank(nb, [tables[p] for p in pairs], bits, carry)
         nb.new_layer()
         carry = [nb.forward(h) for h in carry]
-        eta_handles = {pair: nb.step({h: 1.0 for h in group}, bias=-0.5)
-                       for pair, group in zip(pairs, groups)}
+        eta_handles = {pair: nb.any_of(group) for pair, group in zip(pairs, groups)}
     else:
         nb = NetBuilder(d, NetworkKind.LIN)
         digits = grow_binary_bits_lin(nb, q, coords=range(d))
@@ -228,7 +199,7 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
             pending = parts
         nb.new_layer()
         carry = [nb.forward(h) for h in carry]
-        carry.append(nb.step({h: 1.0 for h in pending}, bias=-0.5))
+        carry.append(nb.any_of(pending))
         eta_handles = {pair: carry[d * q + idx] for idx, pair in enumerate(pairs)}
 
     digit_handles = carry[:d * q]

@@ -96,7 +96,7 @@ def _assemble(kind: str, geom: CellGeometry | None, labeling: np.ndarray,
         bits = [readouts[(0, ell, 1)] for ell in range(1, geom.levels + 1)]
         (parts,), _ = grow_skip_decoder_bank(nb, [table], bits, sites=handle_sites)
         nb.new_layer()
-        label = nb.tag("label", nb.step({h: 1.0 for h in parts}, bias=-0.5))
+        label = nb.tag("label", nb.any_of(parts))
         nb.output([{label: 1.0}], [-0.5])
     else:
         table = labels_to_table(geom, labeling)

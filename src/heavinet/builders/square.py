@@ -52,20 +52,14 @@ def square_approximator(L: int, p1: int, skips) -> BuiltNetwork:
     readouts = grow_radix_readouts(nb, radix)
     for (_, ell, t), h in readouts.items():
         nb.tag(f"d{ell}>={t}", h)
-    handles = sorted(readouts.items())  # [((0, ell, t), handle)] position-major
+    keys, handles = zip(*sorted(readouts.items()))  # position-major (0, ell, t)
 
     nb.new_layer()
-    products: dict[tuple[int, int], int] = {}
-    for i, (_, hi) in enumerate(handles):
-        for j in range(i, len(handles)):
-            hj = handles[j][1]
-            if i == j:
-                products[(i, j)] = nb.step({hi: 2.0}, bias=-1.5)
-            else:
-                products[(i, j)] = nb.step({hi: 1.0, hj: 1.0}, bias=-1.5)
+    products = {(i, j): nb.all_of([handles[i], handles[j]])
+                for i in range(len(handles)) for j in range(i, len(handles))}
 
     # (sum_l b_l/S_l + c)^2 expanded over readout products; b_l = sum_t readouts
-    coeff = [1.0 / prods[ell - 1] for (_, ell, _), _ in handles]
+    coeff = [1.0 / prods[ell - 1] for _, ell, _ in keys]
     row: dict[int, float] = {}
     for (i, j), h in products.items():
         if i == j:

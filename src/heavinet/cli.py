@@ -209,6 +209,8 @@ def _cmd_pieces(args) -> int:
 
 def _cmd_sweep(args) -> int:
     # the grid size follows from the arguments: refuse it before any build
+    if args.grid < 1:
+        raise InvalidInputError("--grid needs at least one interval")
     d = 1 if args.what == "square" else TARGETS[args.target].d
     check_grid_size((args.grid + 1) ** d)
     rows = []

@@ -1,4 +1,5 @@
-"""Truncated multivariate Taylor polynomials as an approximation target."""
+"""Truncated multivariate Taylor polynomials: the reference values the
+Hoelder approximator tests compare against."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ import math
 
 import numpy as np
 
-from ..builders.holder import multi_indices
-from ..errors import InvalidInputError
+from heavinet.builders.holder import multi_indices
+from heavinet.errors import InvalidInputError
 
 __all__ = ["taylor_reference", "taylor_reference_batch"]
 

@@ -17,7 +17,6 @@ from heavinet.analysis import (
     sampled_pieces,
     shatter_verify,
     sup_error,
-    taylor_reference_batch,
     vc_upper_bound,
 )
 from heavinet.builders import (
@@ -37,6 +36,7 @@ from heavinet.builders import (
 )
 from heavinet.targets import TARGETS
 from netgen import random_network, random_segment
+from taylor import taylor_reference_batch
 
 
 def _report(n, text):

@@ -167,6 +167,14 @@ def test_shatter_caps_name_the_power(capsys, argv, power):
     assert power in captured.err and "digits" not in captured.err
 
 
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_shatter_refuses_fewer_than_one_sampled_labeling(capsys, sample):
+    code = run(["shatter", "--kind", "skip", "--m", "1", "--n", "0", "--sample", sample])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: sample_labelings must be at least 1, got {sample}\n"
+
+
 def test_shatter_certificate(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     code, _ = _run(capsys, "shatter", "--kind", "skip", "--m", "1", "--n", "1",
@@ -308,6 +316,23 @@ def test_sweep_refuses_the_grid_before_building(monkeypatch, capsys, argv, point
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: grid of {points} points exceeds the 4000000 cap\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["square", "--L", "2", "--s", "1", "--grid", "0"],
+    ["square", "--L", "2", "--s", "1", "--grid", "-1"],
+    ["holder", "--target", "x2", "--m", "1", "--n", "0", "--grid", "0"],
+    ["holder", "--target", "x2", "--m", "1", "--n", "0", "--grid", "-2"],
+])
+def test_sweep_refuses_a_grid_without_intervals_before_building(monkeypatch, capsys, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the grid was checked")
+    monkeypatch.setattr(builders, "holder_approximator", no_build)
+    monkeypatch.setattr(builders, "square_approximator", no_build)
+    code = run(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --grid needs at least one interval\n"
 
 
 def test_sweep_holder_table(capsys):

@@ -1,12 +1,14 @@
-"""NetBuilder storage: one rule per matrix, and no tap matrix without taps."""
+"""NetBuilder: the AND/OR gates, one storage rule per matrix, and no tap
+matrix without taps."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heavinet import NetworkKind
+from heavinet import NetworkKind, evaluate_batch
 from heavinet.builders import (
     BitTable,
     CellGeometry,
@@ -79,3 +81,41 @@ def test_a_tapless_skip_stage_stores_no_tap_matrix():
         net = BUILDS[case]().net
         taps = (0, *net.arch.skip_counts, 0)
         assert [layer.V is not None for layer in net.layers] == [s > 0 for s in taps], case
+
+
+def _gate_outputs(n, handles_of):
+    """Outputs (AND, OR) of the gates over ``handles_of(bits)``, where
+    ``bits`` are n binary neurons b_i = step(x_i - 1/2), at every point of
+    {0, 1}^n; returns the points, the outputs and the gate-stage weights."""
+    nb = NetBuilder(n, NetworkKind.PLAIN)
+    nb.new_layer()
+    bits = [nb.step({i: 1.0}, bias=-0.5) for i in range(n)]
+    nb.new_layer()
+    both = nb.all_of(handles_of(bits)), nb.any_of(handles_of(bits))
+    nb.output([{h: 1.0} for h in both], [0.0, 0.0])
+    net = nb.build()[0]
+    X = np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+    return X, evaluate_batch(net, X), net.layers[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gates_are_and_and_or_over_every_binary_input(n):
+    X, Y, stage = _gate_outputs(n, lambda bits: bits)
+    assert np.array_equal(Y[:, 0], X.min(axis=1)) and np.array_equal(Y[:, 1], X.max(axis=1))
+    assert np.array_equal(stage.W, np.ones((2, n)))
+    assert np.array_equal(stage.b, [n - 0.5, 0.5])  # stages compute W h - b
+
+
+def test_a_repeated_handle_counts_each_time():
+    # the square's x * x product: AND of a digit readout with itself
+    X, Y, stage = _gate_outputs(1, lambda bits: [bits[0], bits[0]])
+    assert np.array_equal(Y, np.hstack([X, X]))
+    assert np.array_equal(stage.W, [[2.0], [2.0]]) and np.array_equal(stage.b, [1.5, 0.5])
+    X, Y, _ = _gate_outputs(2, lambda bits: [bits[0], bits[1], bits[0]])
+    assert np.array_equal(Y[:, 0], X.min(axis=1)) and np.array_equal(Y[:, 1], X.max(axis=1))
+
+
+def test_gates_over_no_handles_are_constants():
+    X, Y, stage = _gate_outputs(1, lambda bits: [])
+    assert np.array_equal(Y, np.tile([1.0, 0.0], (len(X), 1)))  # AND always, OR never
+    assert np.array_equal(stage.W, np.zeros((2, 1))) and np.array_equal(stage.b, [-0.5, 0.5])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from heavinet import InvalidInputError, PrecisionError, evaluate_batch, validate
-from heavinet.analysis import sup_error, taylor_reference, taylor_reference_batch
+from heavinet.analysis import sup_error
 from heavinet.builders import HolderConfig, holder_approximator, multi_indices
 from heavinet.radix import binary_digits_array
+from taylor import taylor_reference, taylor_reference_batch
 
 
 def d_square(alpha, X):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heavinet import ResourceLimitError, evaluate_batch, validate
+from heavinet import InvalidInputError, ResourceLimitError, evaluate_batch, validate
 from heavinet.analysis import shatter_verify, vc_upper_bound
 from heavinet.analysis.certify import labeling_outputs
 from heavinet.builders import CellGeometry, shatter_budgets, shatter_points, shattering_net
@@ -88,6 +88,12 @@ def test_sampled_certificate_for_larger_geometry():
     cert = shatter_verify("skip", 2, 1, sample_labelings=60, seed=1)
     assert not cert.failures and not cert.exhaustive
     assert len(cert.points) == 32
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_sampled_certificate_needs_a_labeling(sample):
+    with pytest.raises(InvalidInputError, match="sample_labelings"):
+        shatter_verify("skip", 1, 0, sample_labelings=sample)
 
 
 def test_lower_bound_consistent_with_upper():
