@@ -9,7 +9,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .networks import (
-    ActivationTrace,
     Architecture,
     LayerParams,
     Network,
@@ -25,7 +24,7 @@ from .radix import DigitVector, binary_digits, mixed_radix_digits
 __all__ = [
     "InvalidInputError", "InvalidNetworkError", "ParseError", "PrecisionError",
     "ResourceLimitError",
-    "NetworkKind", "Architecture", "LayerParams", "Network", "ActivationTrace",
+    "NetworkKind", "Architecture", "LayerParams", "Network",
     "heaviside", "validate", "evaluate", "evaluate_batch", "embed",
     "DigitVector", "mixed_radix_digits", "binary_digits",
 ]

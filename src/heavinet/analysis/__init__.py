@@ -6,14 +6,12 @@ safe to parallelize externally, and reported arg-max ties resolve to the
 lowest grid index so results stay deterministic.
 """
 
-from ..radix import DigitVector, mixed_radix_digits
 from .bounds import BoundReport, approx_lower_bound, bound_report, piece_bound, vc_upper_bound
 from .certify import ShatterCertificate, shatter_verify
 from .pieces import SegmentPartition, exact_pieces, sampled_pieces
 from .sup import SupErrorResult, axis_grid, sup_error
 
 __all__ = [
-    "DigitVector", "mixed_radix_digits",
     "SegmentPartition", "exact_pieces", "sampled_pieces",
     "SupErrorResult", "sup_error", "axis_grid",
     "BoundReport", "bound_report", "piece_bound", "approx_lower_bound", "vc_upper_bound",

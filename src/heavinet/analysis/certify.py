@@ -104,6 +104,10 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     ``2^20``; otherwise ``sample_labelings`` structured-plus-random
     labelings are checked (required for large geometries), and without it
     ``ResourceLimitError`` names the power, ``2^points``, never its digits.
+    The structured labelings (all 0, all 1, the two alternating ones and
+    up to 32 one-point ones) are always among the sampled ones; a
+    ``sample_labelings`` of at least ``2^points`` enumerates every
+    labeling once instead, and the certificate is exhaustive.
 
     The labeling reaches the network only through a few decoder weights
     (a bias for the one-point geometry), so the network is built (which
@@ -126,12 +130,12 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
         raise InvalidInputError(f"sample_labelings must be at least 1, got {sample_labelings}")
     points = shatter_points(kind, m, n, t)
     npts = len(points)
-    exhaustive = sample_labelings is None
-    if exhaustive and npts > MAX_POINT_BITS:
+    if sample_labelings is None and npts > MAX_POINT_BITS:
         raise ResourceLimitError(
             f"2^{npts} labelings of {npts} points exceed the 2^{MAX_POINT_BITS} cap; "
             "pass sample_labelings to spot-check")
 
+    exhaustive = sample_labelings is None or sample_labelings >= 2**npts
     if exhaustive:
         tried = 2**npts
         shifts = np.arange(npts - 1, -1, -1)

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..networks import Network, _forward, evaluate_batch, step_rows
+from ..networks import Network, _checked_points, _forward, evaluate_batch, step_rows
 from .bounds import _layer_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
@@ -185,10 +185,7 @@ def _eval_at(net: Network, x1, x2, ts: np.ndarray):
     the output stage as ``evaluate_batch`` splits its suffix: the same
     floats as a traced ``evaluate_batch``, without holding every layer.
     """
-    pts = (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :]
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("evaluate_batch: non-finite input")
-    cols = pts.T
+    cols = _checked_points(net, (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :]).T
     L = net.arch.depth
     pat = _forward(net, cols, cols, 0, L)
     return _forward(net, pat, None, L, L + 1).T, pat, _pattern_keys(pat)

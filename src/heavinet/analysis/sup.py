@@ -33,10 +33,14 @@ def check_grid_size(total: int) -> None:
 
 
 def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]:
-    """Per-axis coordinates: a uniform grid on [0, 1] (endpoints included)
-    plus any declared breakpoints, deduplicated and sorted."""
+    """Per-axis coordinates: a uniform grid of ``per_axis`` intervals on
+    [0, 1] (endpoints included) plus any declared breakpoints, deduplicated
+    and sorted."""
     if per_axis is None:
-        per_axis = min(DEFAULT_AXIS_POINTS, int(TOTAL_POINT_CAP ** (1.0 / d)) - 1)
+        # past 21 axes even two points per axis exceed the cap, which refuses them
+        per_axis = max(1, min(DEFAULT_AXIS_POINTS, int(TOTAL_POINT_CAP ** (1.0 / d)) - 1))
+    if per_axis < 1:
+        raise InvalidInputError(f"a grid needs at least one interval per axis, got {per_axis}")
     base = np.linspace(0.0, 1.0, per_axis + 1)
     extra = np.asarray(list(extra), dtype=float)
     if extra.size:
@@ -59,22 +63,16 @@ def grid_rows(axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
     return rows
 
 
-def sup_error(net: Network, f0, per_axis: int | None = None,
-              extra=(), axes: list[np.ndarray] | None = None) -> SupErrorResult:
+def sup_error(net: Network, f0, per_axis: int | None = None, extra=()) -> SupErrorResult:
     """Max |net - f0| over a tensor grid of the unit cube.
 
-    ``f0`` maps an (n, d) array of points to n values.  ``extra`` inserts
-    declared breakpoints into every axis.  Ties in the maximum resolve to
-    the lowest grid index; the grid is enumerated last-axis-fastest.
+    ``f0`` maps an (n, d) array of points to n values.  The grid is
+    ``axis_grid(d, per_axis, extra)``: ``extra`` inserts declared
+    breakpoints into every axis.  Ties in the maximum resolve to the lowest
+    grid index; the grid is enumerated last-axis-fastest.
     """
-    d = net.arch.input_dim
-    if axes is None:
-        axes = axis_grid(d, per_axis, extra)
-    if len(axes) != d or any(len(a) == 0 for a in axes):
-        raise InvalidInputError("need one non-empty coordinate list per axis")
-    total = 1
-    for a in axes:
-        total *= len(a)
+    axes = axis_grid(net.arch.input_dim, per_axis, extra)
+    total = len(axes[0]) ** len(axes)
     check_grid_size(total)
 
     best_val = -1.0

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import InvalidNetworkError
-from ..networks import Network
+from ..networks import Network, evaluate_batch
 
 __all__ = ["Guarantee", "Construction", "BuiltNetwork"]
 
@@ -52,7 +54,9 @@ class BuiltNetwork:
         if outside:
             raise InvalidNetworkError(outside)
 
-    def read_probes(self, trace) -> dict[str, float]:
-        """Read every probe out of an activation trace for one input."""
-        return {label: float(trace.hidden[layer - 1][idx])
+    def read_probes(self, x) -> dict[str, float]:
+        """Every probe's activation at the one input ``x``, read from a
+        traced ``evaluate_batch``."""
+        _, trace = evaluate_batch(self.net, [np.ravel(x)], with_trace=True)
+        return {label: float(trace[layer - 1][idx, 0])
                 for label, (layer, idx) in self.probes.items()}

@@ -64,11 +64,15 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _range(text: str) -> list[int]:
-    """Parse '2..6' or a comma list into a list of ints."""
+    """Parse '2..6' or a comma list into a non-empty list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return _csv_ints(text)
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = _csv_ints(text)
+    if not values:
+        raise InvalidInputError(f"empty range {text!r}")
+    return values
 
 
 @contextlib.contextmanager
@@ -96,12 +100,22 @@ def _load_net(path: str):
 
 
 def _load_points(path: str) -> np.ndarray:
+    """One point per non-blank line, all of the first point's length; a
+    refusal names the file and the 1-based line."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append(_csv_floats(line))
+            if not line:
+                continue
+            try:
+                row = _csv_floats(line)
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} line {number}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise InvalidInputError(
+                    f"{path} line {number}: expected {len(rows[0])} numbers, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise InvalidInputError(f"no points in {path}")
     return np.array(rows, dtype=float)
@@ -223,12 +237,11 @@ def _cmd_sweep(args) -> int:
                 # join the grid when S <= 100 000 (17 factors of at least 2
                 # exceed that), and the grid is checked before the build
                 S = (s + 1) ** min(L - 1, 17) if L >= 2 and s >= 1 else 0
-                axes = axis_grid(1, args.grid,
-                                 [k / S for k in range(S + 1)] if 0 < S <= 100_000 else [])
-                check_grid_size(len(axes[0]))
+                extra = [k / S for k in range(S + 1)] if 0 < S <= 100_000 else []
+                check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
                 built = builders.square_approximator(L, s, (s,) * (L - 2) + (0,))
                 bound = built.guarantee.sup_error_bound
-                res = sup_error(built.net, lambda X: X[:, 0] ** 2, axes=axes)
+                res = sup_error(built.net, lambda X: X[:, 0] ** 2, per_axis=args.grid, extra=extra)
                 ratio = res.value / bound
                 worst_ratio = max(worst_ratio, ratio)
                 rows.append(f"{L},{s},{bound!r},{res.value!r},{ratio!r}")
@@ -387,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=0)
     p.add_argument("--sample", type=int, default=None,
-                   help="spot-check this many labelings instead of all")
+                   help="spot-check this many labelings instead of all; the structured ones "
+                   "(all 0, all 1, alternating, one-point) are always included, and "
+                   "2^points or more tries each once")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_shatter)

@@ -55,7 +55,6 @@ __all__ = [
     "Architecture",
     "LayerParams",
     "Network",
-    "ActivationTrace",
     "heaviside",
     "validate",
     "evaluate",
@@ -161,13 +160,6 @@ class Network:
             raise InvalidNetworkError(violations)
 
 
-@dataclass
-class ActivationTrace:
-    """Hidden activations ``f_1(x) .. f_L(x)``, one vector per hidden layer."""
-
-    hidden: list[np.ndarray]
-
-
 # -- matrix payload helpers (dense ndarray or scipy.sparse) -----------------
 
 def issparse(M) -> bool:
@@ -175,10 +167,6 @@ def issparse(M) -> bool:
     no sparse matrix exists before ``scipy.sparse`` is loaded."""
     sparse = sys.modules.get("scipy.sparse")
     return sparse is not None and sparse.issparse(M)
-
-
-def mat_shape(M) -> tuple[int, int]:
-    return tuple(M.shape)
 
 
 def mat_nonzero_rows(M) -> int:
@@ -249,7 +237,7 @@ def validate(net: Network) -> list[str]:
     ws = arch.augmented_widths()
     for i, layer in enumerate(net.layers):
         want = (ws[i + 1], ws[i])
-        got = mat_shape(layer.W)
+        got = tuple(layer.W.shape)
         if got != want:
             out.append(f"layer {i}: W shape {got}, expected {want}")
         b = np.asarray(layer.b)
@@ -261,7 +249,7 @@ def validate(net: Network) -> list[str]:
             elif not 1 <= i <= L - 1:
                 out.append(f"layer {i}: V present outside hidden layers 2..L")
             else:
-                vshape = mat_shape(layer.V)
+                vshape = tuple(layer.V.shape)
                 if vshape != (ws[i + 1], arch.input_dim):
                     out.append(f"layer {i}: V shape {vshape}, expected ({ws[i + 1]}, {arch.input_dim})")
                 else:
@@ -353,20 +341,24 @@ def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
     return h
 
 
-def evaluate(net: Network, x, with_trace: bool = False):
-    """Evaluate at one point; returns the output vector (and trace if asked)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != net.arch.input_dim:
+def evaluate(net: Network, x) -> np.ndarray:
+    """Evaluate at one point: the row of a one-point ``evaluate_batch``."""
+    return evaluate_batch(net, [np.ravel(x)])[0]
+
+
+def _checked_points(net: Network, X) -> np.ndarray:
+    """Points as the (n, d) float rows of ``X`` (a vector is n points of a
+    one-input network), refused unless d is the input dimension and every
+    coordinate is finite."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.shape[1] != net.arch.input_dim:
         raise InvalidInputError(
-            f"evaluate: input has dimension {x.shape[0]}, network expects {net.arch.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("evaluate: non-finite input")
-    cols = x[:, None]
-    trace = [] if with_trace else None
-    y = _forward(net, cols, cols, 0, net.arch.depth + 1, trace=trace)[:, 0]
-    if with_trace:
-        return y, ActivationTrace([h[:, 0] for h in trace])
-    return y
+            f"evaluate_batch: points have dimension {X.shape[1]}, network expects {net.arch.input_dim}")
+    if not np.all(np.isfinite(X)):
+        raise InvalidInputError("evaluate_batch: non-finite input")
+    return X
 
 
 def evaluate_batch(net: Network, X, with_trace: bool = False):
@@ -392,15 +384,7 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
     would get.  Hidden stages need no padding; the tests compare whole
     passes bit for bit at several block sizes.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[1] != net.arch.input_dim:
-        raise InvalidInputError(
-            f"evaluate_batch: points have dimension {X.shape[1]}, network expects {net.arch.input_dim}")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInputError("evaluate_batch: non-finite input")
-    cols = X.T
+    cols = _checked_points(net, X).T
     n = cols.shape[1]
     L = net.arch.depth
     if with_trace:

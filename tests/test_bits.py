@@ -5,21 +5,21 @@ import pytest
 
 from heavinet import InvalidInputError, PrecisionError, evaluate, validate
 from heavinet import mixed_radix_digits
-from heavinet.builders import binary_bit_extractor_lin, mixed_radix_bit_extractor
+from heavinet.builders import (
+    binary_bit_extractor_lin,
+    holder_approximator,
+    mixed_radix_bit_extractor,
+)
 from heavinet.networks import evaluate_batch
-
-
-def _probe_readout(built, x):
-    _, trace = evaluate(built.net, [x], with_trace=True)
-    return built.read_probes(trace)
+from heavinet.targets import TARGETS
 
 
 def test_mixed_radix_examples():
     built = mixed_radix_bit_extractor((2, 2))
-    assert _probe_readout(built, 0.625) == {"d1>=1": 1.0, "d2>=1": 0.0}
-    assert _probe_readout(built, 1.0) == {"d1>=1": 1.0, "d2>=1": 1.0}
+    assert built.read_probes(0.625) == {"d1>=1": 1.0, "d2>=1": 0.0}
+    assert built.read_probes(1.0) == {"d1>=1": 1.0, "d2>=1": 1.0}
     b3 = mixed_radix_bit_extractor((3,))
-    assert _probe_readout(b3, 0.5) == {"d1>=1": 1.0, "d1>=2": 0.0}
+    assert b3.read_probes(0.5) == {"d1>=1": 1.0, "d1>=2": 0.0}
 
 
 def test_mixed_radix_against_oracle_random_points():
@@ -29,7 +29,7 @@ def test_mixed_radix_against_oracle_random_points():
         assert validate(built.net) == []
         for x in np.concatenate([rng.uniform(0, 1, 200), [0.0, 1.0]]):
             digits = mixed_radix_digits(float(x), radix).digits
-            readout = _probe_readout(built, float(x))
+            readout = built.read_probes(float(x))
             for ell, d in enumerate(digits, start=1):
                 for t in range(1, radix[ell - 1]):
                     assert readout[f"d{ell}>={t}"] == (1.0 if d >= t else 0.0), \
@@ -60,7 +60,7 @@ def test_lin_extractors_match_binary_oracle():
                                  np.arange(2**L + 1) / 2**L])
             for x in xs:
                 digits = mixed_radix_digits(float(x), (2,) * L).digits
-                readout = _probe_readout(built, float(x))
+                readout = built.read_probes(float(x))
                 for ell, d in enumerate(digits, start=1):
                     assert readout[f"b{ell}"] == float(d), f"{variant} L={L} x={x} bit {ell}"
 
@@ -75,10 +75,10 @@ def test_narrow_architecture_is_minimal():
 
 def test_lin_extractor_examples():
     narrow = binary_bit_extractor_lin(3, "narrow")
-    assert _probe_readout(narrow, 0.625) == {"b1": 1.0, "b2": 0.0, "b3": 1.0}
+    assert narrow.read_probes(0.625) == {"b1": 1.0, "b2": 0.0, "b3": 1.0}
     wide = binary_bit_extractor_lin(2, "wide")
-    assert _probe_readout(wide, 0.0) == {"b1": 0.0, "b2": 0.0}
-    assert _probe_readout(binary_bit_extractor_lin(2, "narrow"), 1.0) == {"b1": 1.0, "b2": 1.0}
+    assert wide.read_probes(0.0) == {"b1": 0.0, "b2": 0.0}
+    assert binary_bit_extractor_lin(2, "narrow").read_probes(1.0) == {"b1": 1.0, "b2": 1.0}
 
 
 def test_lin_extractor_rejects_deep():
@@ -110,3 +110,23 @@ def test_extractor_width_vector():
     sums = np.cumsum([d - 1 for d in radix])
     assert arch.widths == (1, *map(int, sums), 1)
     assert arch.skip_counts == tuple(d - 1 for d in radix[1:])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mixed_radix_bit_extractor((3, 2, 4)),
+    lambda: mixed_radix_bit_extractor((2,) * 6),
+    lambda: binary_bit_extractor_lin(5, "wide"),
+    lambda: binary_bit_extractor_lin(5, "narrow"),
+    lambda: holder_approximator("skip", TARGETS["x1x2"].holder_config(1, 1, None)),
+], ids=["radix(3,2,4)", "radix(2^6)", "lin-wide", "lin-narrow", "holder-x1x2"])
+def test_read_probes_is_the_traced_batch_column(make):
+    built = make()
+    d = built.net.arch.input_dim
+    X = np.concatenate([np.random.default_rng(24).uniform(0, 1, (40, d)),
+                        np.zeros((1, d)), np.ones((1, d))])
+    _, trace = evaluate_batch(built.net, X, with_trace=True)
+    assert built.probes
+    for k, x in enumerate(X):
+        assert built.read_probes(x) == {
+            label: float(trace[layer - 1][idx, k])
+            for label, (layer, idx) in built.probes.items()}

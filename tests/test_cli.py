@@ -44,6 +44,22 @@ def test_validate_and_eval(tmp_path, capsys):
     assert rows[1].endswith(",-1.0") and rows[2].endswith(",1.0")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0.5,0.5\n0.1\n", "line 2: expected 2 numbers, got 1"),
+    ("0.5,0.5\n\n0.1,0.2,0.3\n", "line 3: expected 2 numbers, got 3"),
+    ("0.5,x\n", "line 1: could not convert string to float: 'x'"),
+])
+def test_eval_points_refusal_names_the_file_and_line(tmp_path, capsys, text, message):
+    net = tmp_path / "net.json"
+    _run(capsys, "build", "parity", "--d", "2", "-o", str(net))
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    code = run(["eval", str(net), "--points", str(pts)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {pts} {message}\n"
+
+
 def test_pieces_subcommand(tmp_path, capsys):
     net = tmp_path / "net.json"
     _run(capsys, "build", "square", "--L", "2", "--p1", "1", "--skips", "0",
@@ -173,6 +189,16 @@ def test_shatter_refuses_fewer_than_one_sampled_labeling(capsys, sample):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: sample_labelings must be at least 1, got {sample}\n"
+
+
+@pytest.mark.parametrize("sample", ["16", "100"])
+def test_shatter_sample_of_every_labeling_enumerates_them(capsys, sample):
+    # 4 points have 16 labelings: a sample that large tries each once
+    code, out = _run(capsys, "shatter", "--kind", "skip", "--m", "1", "--n", "0",
+                     "--sample", sample)
+    doc = json.loads(out)
+    assert code == 0 and doc["failures"] == []
+    assert doc["exhaustive"] is True and doc["labelings_tried"] == 16
 
 
 def test_shatter_certificate(tmp_path, capsys):
@@ -333,6 +359,24 @@ def test_sweep_refuses_a_grid_without_intervals_before_building(monkeypatch, cap
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: --grid needs at least one interval\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["square", "--L", "3..2", "--s", "1"], "3..2"),
+    (["square", "--L", "2", "--s", "2..1"], "2..1"),
+    (["square", "--L", "2", "--s", ","], ","),
+    (["holder", "--target", "x2", "--m", "1..0", "--n", "0"], "1..0"),
+    (["holder", "--target", "x2", "--m", "1", "--n", "5..4"], "5..4"),
+])
+def test_sweep_refuses_an_empty_range(monkeypatch, capsys, argv, text):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built from an empty range")
+    monkeypatch.setattr(builders, "holder_approximator", no_build)
+    monkeypatch.setattr(builders, "square_approximator", no_build)
+    code = run(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: empty range {text!r}\n"
 
 
 def test_sweep_holder_table(capsys):

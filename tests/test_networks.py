@@ -71,6 +71,15 @@ def test_evaluate_rejects_bad_input():
         evaluate(net, [float("nan")])
 
 
+@pytest.mark.parametrize("kind", list(NetworkKind))
+def test_empty_batch_gives_an_empty_output(kind):
+    # square(5,3) evaluates through the run-head suffix past its pattern stage
+    rng = np.random.default_rng(23)
+    for net in [random_network(kind, rng) for _ in range(10)] + [approximator("square(5,3)")[0]]:
+        out = evaluate_batch(net, np.empty((0, net.arch.input_dim)))
+        assert out.shape == (0, net.arch.output_dim)
+
+
 def test_validate_reports_shape_mismatch():
     arch = Architecture(NetworkKind.PLAIN, (1, 2, 1))
     layers = (LayerParams(np.zeros((2, 1)), np.zeros(2)),

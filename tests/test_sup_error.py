@@ -35,11 +35,13 @@ def test_square_hand_measurement():
 
 
 def test_empty_grid_rejected():
+    # fewer than one interval per axis is refused, extra points or not
     built = piecewise_constant_1d(PieceSpec((), (), (0.0,)))
-    with pytest.raises(InvalidInputError):
-        sup_error(built.net, lambda X: np.zeros(len(X)), axes=[np.array([])])
-    with pytest.raises(InvalidInputError):
-        sup_error(built.net, lambda X: np.zeros(len(X)), axes=[])
+    for per_axis in (0, -1, -2):
+        with pytest.raises(InvalidInputError, match="at least one interval"):
+            axis_grid(1, per_axis)
+        with pytest.raises(InvalidInputError, match="at least one interval"):
+            sup_error(built.net, lambda X: np.zeros(len(X)), per_axis=per_axis, extra=[0.5])
 
 
 def test_default_grid_respects_budget():
@@ -47,6 +49,7 @@ def test_default_grid_respects_budget():
     total = len(axes[0]) ** 3
     assert total <= 4_000_000
     assert len(axes[0]) >= 100
+    assert len(axis_grid(22)[0]) == 2  # one interval, which the cap then refuses
     with pytest.raises(InvalidInputError):
         axis_grid(1, extra=[1.5])
 
