@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, ResourceLimitError
 from ..networks import Network, evaluate_batch
 
 __all__ = ["SupErrorResult", "sup_error", "axis_grid", "grid_rows"]
@@ -29,7 +29,7 @@ class SupErrorResult:
 def check_grid_size(total: int) -> None:
     """Refuse a grid of more than ``TOTAL_POINT_CAP`` points."""
     if total > TOTAL_POINT_CAP:
-        raise InvalidInputError(f"grid of {total} points exceeds the {TOTAL_POINT_CAP} cap")
+        raise ResourceLimitError(f"grid of {total} points exceeds the {TOTAL_POINT_CAP} cap")
 
 
 def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]:

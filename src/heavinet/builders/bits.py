@@ -18,9 +18,9 @@ the larger constructions stack their own machinery on top of them.
 
 from __future__ import annotations
 
-from ..errors import InvalidInputError, PrecisionError
+from ..errors import InvalidInputError
 from ..networks import NetworkKind
-from ..radix import radix_products
+from ..radix import check_digit_budget, check_radix, radix_products
 from .built import BuiltNetwork, Construction
 from .dsl import NetBuilder
 
@@ -103,12 +103,8 @@ def mixed_radix_bit_extractor(radix) -> BuiltNetwork:
     Probes ``d{l}>={t}`` point at the last hidden layer, where all readouts
     are present; the output is the truncation ``sum_l b_l(x) / (d_1...d_l)``.
     """
-    radix = tuple(int(d) for d in radix)
-    if not radix or any(d < 2 for d in radix):
-        raise InvalidInputError("radix entries must be integers >= 2")
+    radix = check_radix(radix)
     prods = radix_products(radix)
-    if prods[-1] > 2**52:
-        raise PrecisionError(f"radix product {prods[-1]} exceeds 2^52")
     nb = NetBuilder(1, NetworkKind.SKIP)
     current = grow_radix_readouts(nb, radix)
     for (_, ell, t), h in current.items():
@@ -130,8 +126,7 @@ def binary_bit_extractor_lin(L: int, variant: str = "narrow") -> BuiltNetwork:
     """
     if L < 1:
         raise InvalidInputError("binary extractor: L must be >= 1")
-    if L > 52:
-        raise PrecisionError(f"binary extractor: L={L} digits exceed a float64 significand")
+    check_digit_budget(L, "binary extractor")
     if variant not in ("wide", "narrow"):
         raise InvalidInputError(f"binary extractor: unknown variant {variant!r}")
     nb = NetBuilder(1, NetworkKind.LIN)

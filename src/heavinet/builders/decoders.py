@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError, PrecisionError
+from ..errors import InvalidInputError
 from ..networks import NetworkKind
+from ..radix import check_digit_budget
 from .bits import grow_narrow_digit
 from .built import BuiltNetwork, Construction
 from .dsl import NetBuilder
@@ -66,16 +67,19 @@ class CellGeometry:
             raise InvalidInputError("geometry requires d >= 1 and m, n, t >= 0")
         if self.kind == "skip" and self.t:
             raise InvalidInputError("skip geometry has no t parameter")
-        if self.levels < 1:
-            raise InvalidInputError("geometry has no digit levels at all")
 
     @property
     def levels(self) -> int:
-        """Digit levels per coordinate."""
+        """Digit levels per coordinate; none for the one-point geometry
+        m = n = t = 0."""
         return 2 * self.m + self.n if self.kind == "skip" else self.m + self.n + 2 * self.t
 
     def group_levels(self) -> tuple[range, range, range]:
-        """1-based level ranges feeding the j, k, r indices."""
+        """1-based level ranges feeding the j, k, r indices.  A decoder
+        reads at least one digit level, so a geometry without levels has no
+        cell index groups."""
+        if self.levels < 1:
+            raise InvalidInputError("geometry has no digit levels at all")
         if self.kind == "skip":
             return (range(1, self.m + 1),
                     range(self.m + 1, 2 * self.m + 1),
@@ -283,8 +287,7 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     geom = table.geometry
     gj, gk, gr = geom.group_levels()
     J, K, R = geom.sizes
-    if R > 52:
-        raise PrecisionError(f"R = {R} packed digits exceed a float64 significand")
+    check_digit_budget(R, "lin decoder packing")
     chunk = 2 ** (geom.m * geom.d)
     lam = table.payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
 

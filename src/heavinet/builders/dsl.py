@@ -174,8 +174,6 @@ class NetBuilder:
             aug = [self.input_dim] + [p + (s if ell < L - 1 else 0)
                                       for ell, p in enumerate(step_counts)] + [len(self._out_rows)]
         else:
-            if any(lin_counts):
-                raise InvalidInputError("identity neurons on a non-lin network")
             s = 0
             aug = [self.input_dim, *step_counts, len(self._out_rows)]
         widths = (self.input_dim, *step_counts, len(self._out_rows))

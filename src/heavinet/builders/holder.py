@@ -31,8 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import InvalidInputError, PrecisionError
+from ..errors import InvalidInputError
 from ..networks import NetworkKind
+from ..radix import check_digit_budget
 from .bits import grow_binary_bits_lin, grow_radix_readouts
 from .built import BuiltNetwork, Construction, Guarantee
 from .decoders import BitTable, CellGeometry, grow_lin_decoder, grow_skip_decoder_bank
@@ -170,8 +171,7 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
                         config.t if kind == "lin" else 0)
     levels = geom.levels
     q = math.ceil(config.beta) * levels
-    if q > 52:
-        raise PrecisionError(f"q = {q} digits exceed a float64 significand")
+    check_digit_budget(q, "holder approximator")
     alphas = config.alphas()
     tables = _quantized_bit_tables(config, geom, q)
     pairs = [(alpha, ell) for alpha in alphas for ell in range(1, q + 1)]

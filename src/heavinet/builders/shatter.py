@@ -28,23 +28,16 @@ __all__ = ["shatter_points", "shattering_net", "labels_to_table", "shatter_budge
 MAX_POINT_BITS = 20  # enumerating labelings needs 2^points <= 2^20
 
 
-def _geometry(kind: str, m: int, n: int, t: int = 0) -> CellGeometry | None:
-    if kind not in ("skip", "lin"):
-        raise InvalidInputError(f"unknown kind {kind!r}")
-    levels = 2 * m + n if kind == "skip" else m + n + 2 * t
-    if levels == 0:
-        return None  # degenerate single-point geometry
-    if levels > MAX_POINT_BITS:
-        raise ResourceLimitError(f"2^{levels} points exceed the 2^{MAX_POINT_BITS} cap")
-    return CellGeometry(kind, 1, m, n, t)
+def _geometry(kind: str, m: int, n: int, t: int = 0) -> CellGeometry:
+    geom = CellGeometry(kind, 1, m, n, t)
+    if geom.levels > MAX_POINT_BITS:
+        raise ResourceLimitError(f"2^{geom.levels} points exceed the 2^{MAX_POINT_BITS} cap")
+    return geom
 
 
 def shatter_points(kind: str, m: int, n: int, t: int = 0) -> np.ndarray:
     """The canonical point set: one point at the center of every dyadic cell."""
-    geom = _geometry(kind, m, n, t)
-    if geom is None:
-        return np.array([0.5])
-    count = 2 ** geom.levels
+    count = 2 ** _geometry(kind, m, n, t).levels
     i = np.arange(1, count + 1, dtype=float)
     return i / count - 1.0 / (2 * count)
 
@@ -71,8 +64,7 @@ def shatter_budgets(kind: str, m: int, n: int, t: int = 0) -> dict[str, int]:
             "identity_neurons": K}
 
 
-def _assemble(kind: str, geom: CellGeometry | None, labeling: np.ndarray,
-              sites: list | None = None):
+def _assemble(geom: CellGeometry, labeling: np.ndarray, sites: list | None = None):
     """Grow and build the network realizing ``labeling``.
 
     With a ``sites`` list, every payload-dependent entry of the built
@@ -82,14 +74,14 @@ def _assemble(kind: str, geom: CellGeometry | None, labeling: np.ndarray,
     index whose label it reads.  Returns the network and its probes.
     """
     handle_sites = [] if sites is not None else None
-    if geom is None:  # one point: a constant network decides its label
-        nb = NetBuilder(1, NetworkKind.SKIP if kind == "skip" else NetworkKind.LIN)
+    if geom.levels == 0:  # one point: a constant network decides its label
+        nb = NetBuilder(1, NetworkKind.SKIP if geom.kind == "skip" else NetworkKind.LIN)
         nb.new_layer()
         h = nb.tag("label", nb.step({0: 0.0}, bias=float(labeling[0]) - 0.5))
         if sites is not None:
             handle_sites.append((h, None, 0, 1.0))
         nb.output([{h: 1.0}], [-0.5])
-    elif kind == "skip":
+    elif geom.kind == "skip":
         table = labels_to_table(geom, labeling)
         nb = NetBuilder(1, NetworkKind.SKIP)
         readouts = grow_radix_readouts(nb, (2,) * geom.levels)
@@ -126,7 +118,7 @@ def shattering_net(kind: str, m: int, n: int, t: int = 0,
         raise InvalidInputError(f"labeling must be {points.size} bits")
     params = {"kind": kind, "m": m, "n": n, "t": t,
               "labeling": "".join(str(int(b)) for b in labeling)}
-    net, probes = _assemble(kind, _geometry(kind, m, n, t), labeling)
+    net, probes = _assemble(_geometry(kind, m, n, t), labeling)
     return BuiltNetwork(net, None, probes, Construction("shattering_net", params)), points
 
 
@@ -180,7 +172,7 @@ def shatter_template(kind: str, m: int, n: int, t: int = 0) -> ShatterTemplate:
     geom = _geometry(kind, m, n, t)
     points = shatter_points(kind, m, n, t)
     sites: list = []
-    net, _ = _assemble(kind, geom, np.zeros(points.size, dtype=int), sites)
+    net, _ = _assemble(geom, np.zeros(points.size, dtype=int), sites)
     stage, row, col, cell, coef = (np.array(v) for v in zip(*sites))
     order = np.lexsort((col, row, stage))
     stage, row, col, cell, coef = (v[order] for v in (stage, row, col, cell, coef))

@@ -13,9 +13,9 @@ as an affine function of those products.  The sup error is at most ``1/S``.
 
 from __future__ import annotations
 
-from ..errors import InvalidInputError, PrecisionError
+from ..errors import InvalidInputError
 from ..networks import NetworkKind
-from ..radix import radix_products
+from ..radix import check_digit_budget, radix_products
 from .bits import grow_radix_readouts
 from .built import BuiltNetwork, Construction, Guarantee
 from .dsl import NetBuilder
@@ -42,10 +42,9 @@ def square_approximator(L: int, p1: int, skips) -> BuiltNetwork:
 
     radix = (p1 + 1, *(s + 1 for s in skips[:-1]))
     prods = radix_products(radix)
-    if prods[-1] > 2**26:
-        raise PrecisionError("digit grid finer than 2^-26: squared weights would "
-                             "leave the float64 significand")
     S = prods[-1]
+    # the output weights are products of two grid fractions
+    check_digit_budget((S * S - 1).bit_length(), f"squared digit grid {S}^2")
     half_cell = 1.0 / (2 * S)
 
     nb = NetBuilder(1, NetworkKind.SKIP)

@@ -39,7 +39,7 @@ from .analysis import (
     sup_error,
 )
 from .analysis.bounds import MAX_DEPTH, MAX_WIDTH
-from .analysis.sup import GRID_CHUNK, axis_grid, check_grid_size, grid_rows
+from .analysis.sup import GRID_CHUNK, TOTAL_POINT_CAP, axis_grid, check_grid_size, grid_rows
 from .builders import BitTable, CellGeometry
 from .errors import (
     InvalidInputError,
@@ -238,7 +238,9 @@ def _cmd_sweep(args) -> int:
                 # exceed that), and the grid is checked before the build
                 S = (s + 1) ** min(L - 1, 17) if L >= 2 and s >= 1 else 0
                 extra = [k / S for k in range(S + 1)] if 0 < S <= 100_000 else []
-                check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
+                # merging the edges into the axis can only shrink it
+                if args.grid + 1 + len(extra) > TOTAL_POINT_CAP:
+                    check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
                 built = builders.square_approximator(L, s, (s,) * (L - 2) + (0,))
                 bound = built.guarantee.sup_error_bound
                 res = sup_error(built.net, lambda X: X[:, 0] ** 2, per_axis=args.grid, extra=extra)

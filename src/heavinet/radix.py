@@ -9,16 +9,27 @@ float argument, so a digit never lands on the wrong side of a cell boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PrecisionError
 
 __all__ = ["DigitVector", "mixed_radix_digits", "binary_digits", "radix_products"]
 
-MAX_PRODUCT = 2**52
+
+def check_digit_budget(digits: int, what: str) -> None:
+    """Refuse more than 52 binary digits, the float64 significand.
+
+    Every digit oracle and construction that needs its digits or weights
+    exact calls this with its digit count; a product ``P`` of radices needs
+    ``(P - 1).bit_length()`` digits.
+    """
+    if digits > 52:
+        raise PrecisionError(f"{what} needs {digits} binary digits, "
+                             "more than a float64 significand holds (52)")
 
 
 def radix_products(radix: tuple[int, ...]) -> list[int]:
@@ -64,17 +75,16 @@ class DigitVector:
         return out
 
 
-def _check_radix(radix) -> tuple[int, ...]:
+def check_radix(radix) -> tuple[int, ...]:
+    """The radix vector as a tuple of ints, each at least 2, whose product
+    stays within the digit budget."""
     radix = tuple(int(d) for d in radix)
     if not radix:
         raise InvalidInputError("radix vector is empty")
     if any(d < 2 for d in radix):
         raise InvalidInputError(f"radix entries must be >= 2, got {radix}")
-    prod = 1
-    for d in radix:
-        prod *= d
-    if prod > MAX_PRODUCT:
-        raise InvalidInputError(f"radix product {prod} exceeds 2^52")
+    prod = math.prod(radix)
+    check_digit_budget((prod - 1).bit_length(), f"radix product {prod}")
     return radix
 
 
@@ -84,7 +94,7 @@ def mixed_radix_digits(x: float, radix) -> DigitVector:
     The recursion is evaluated on the exact rational value of the float
     ``x``, via ``b_l = F_l - d_l F_{l-1}`` with ``F_l = floor(S_l x)``.
     """
-    radix = _check_radix(radix)
+    radix = check_radix(radix)
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise InvalidInputError(f"x={x} outside [0, 1]")
@@ -104,8 +114,7 @@ def mixed_radix_digits(x: float, radix) -> DigitVector:
 
 def binary_digits(x: float, nbits: int) -> DigitVector:
     """First ``nbits`` binary digits of ``x``, same conventions as above."""
-    if nbits < 1 or nbits > 52:
-        raise InvalidInputError(f"nbits={nbits} outside 1..52")
+    check_digit_budget(nbits, "binary_digits")  # before the radix tuple is made
     return mixed_radix_digits(x, (2,) * nbits)
 
 
@@ -115,8 +124,9 @@ def binary_digits_array(xs: np.ndarray, nbits: int) -> np.ndarray:
     Scaling by powers of two is exact, so the int64 path reproduces the
     rational recursion bit for bit.
     """
-    if nbits < 1 or nbits > 52:
-        raise InvalidInputError(f"nbits={nbits} outside 1..52")
+    if nbits < 1:
+        raise InvalidInputError(f"nbits={nbits} must be at least 1")
+    check_digit_budget(nbits, "binary_digits_array")
     xs = np.asarray(xs, dtype=float)
     if np.any((xs < 0) | (xs > 1)):
         raise InvalidInputError("binary_digits_array: value outside [0, 1]")

@@ -60,6 +60,19 @@ def test_eval_points_refusal_names_the_file_and_line(tmp_path, capsys, text, mes
     assert captured.err == f"error: {pts} {message}\n"
 
 
+def test_eval_refuses_a_grid_or_file_without_points(tmp_path, capsys):
+    net = tmp_path / "net.json"
+    _run(capsys, "build", "parity", "--d", "2", "-o", str(net))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for source, message in ((["--grid", "0"], "--grid needs at least one interval"),
+                            (["--points", str(empty)], f"no points in {empty}")):
+        code = run(["eval", str(net), *source])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_pieces_subcommand(tmp_path, capsys):
     net = tmp_path / "net.json"
     _run(capsys, "build", "square", "--L", "2", "--p1", "1", "--skips", "0",
@@ -98,6 +111,15 @@ def test_pieces_refuses_a_segment_that_is_not_finite(tmp_path, capsys, frm, to):
         assert captured.err.startswith("error: segment ") and "must be finite" in captured.err
 
 
+def test_pieces_refuses_a_segment_of_the_wrong_dimension(tmp_path, capsys):
+    net = tmp_path / "b.json"
+    _run(capsys, "build", "bits", "--radix", "2,2", "-o", str(net))
+    code = run(["pieces", str(net), "--from", "0,0", "--to", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: segment endpoints must match the input dimension\n"
+
+
 def test_holder_target_choices_are_the_target_table(capsys):
     for argv in (["build", "holder", "--kind", "skip"], ["sweep", "holder"]):
         assert run(argv + ["--m", "1", "--n", "0", "--target", "nope"]) == 2
@@ -109,6 +131,15 @@ def test_bounds_hand_value(capsys):
     code, out = _run(capsys, "bounds", "--kind", "skip", "--L", "4", "--p", "8", "--s", "1")
     assert code == 0
     assert ",38400.0," in out.splitlines()[1]
+
+
+def test_bounds_notes_an_unmet_vc_precondition(capsys):
+    code, out = _run(capsys, "bounds", "--kind", "skip", "--L", "2", "--p", "1", "--s", "1")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[1] == "skip,2,1,1,1,4,precondition-unmet,0.125"
+    assert rows[2] == ("note,vc formula precondition unmet "
+                       "(needs rectangular width >= max(d, s, 2))")
 
 
 def test_bounds_past_the_float_range(capsys):
@@ -181,6 +212,25 @@ def test_shatter_caps_name_the_power(capsys, argv, power):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert power in captured.err and "digits" not in captured.err
+
+
+@pytest.mark.parametrize("geometry, message", [
+    (["--kind", "skip", "--m", "1", "--n", "-2"], "geometry requires d >= 1 and m, n, t >= 0"),
+    (["--kind", "skip", "--m", "-1", "--n", "2"], "geometry requires d >= 1 and m, n, t >= 0"),
+    (["--kind", "lin", "--m", "-2", "--n", "0", "--t", "1"],
+     "geometry requires d >= 1 and m, n, t >= 0"),
+    (["--kind", "lin", "--m", "0", "--n", "0", "--t", "-1"],
+     "geometry requires d >= 1 and m, n, t >= 0"),
+    (["--kind", "skip", "--m", "0", "--n", "0", "--t", "1"], "skip geometry has no t parameter"),
+    (["--kind", "skip", "--m", "1", "--n", "0", "--t", "1"], "skip geometry has no t parameter"),
+])
+def test_shatter_refuses_an_invalid_geometry(capsys, geometry, message):
+    # a geometry whose levels add up to 0 used to pass as the one-point set
+    for argv in (["shatter", *geometry], ["build", "shatter-net", *geometry, "--labels", "1"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err == f"error: {message}\n", argv
 
 
 @pytest.mark.parametrize("sample", ["0", "-3"])
@@ -258,7 +308,7 @@ def _nan(rows, i, j=None):
 
 
 # a build square --L 3 --p1 1 --skips 1,0 document (widths 1, 1, 2, 3, 1)
-# broken five ways: each describes an invalid network
+# broken twelve ways: each describes an invalid network
 INVALID_NETWORKS = {
     "skip budget": (lambda doc: doc.update(skip_counts=[3, 0]),
                     "architecture: skip budget s_2=3 outside [0, p_2=2]"),
@@ -268,6 +318,23 @@ INVALID_NETWORKS = {
     "wide W": (lambda doc: [row.append(0.0) for row in doc["layers"][2]["W"]],
                "layer 2: W shape (3, 3), expected (3, 2)"),
     "probe": (lambda doc: doc["meta"]["probes"].update({"d1>=1": [2, 2]}), "probe 'd1>=1'"),
+    "stage count": (lambda doc: doc["layers"].pop(),
+                    "layers: 3 affine stages, expected L+1 = 4"),
+    "b shape": (lambda doc: doc["layers"][1]["b"].append(0.0),
+                "layer 1: b shape (3,), expected (2,)"),
+    "V on stage 0": (lambda doc: doc["layers"][0].update(V=[[1.0]]),
+                     "layer 0: V present outside hidden layers 2..L"),
+    "V on stage L": (lambda doc: doc["layers"][3].update(V=[[1.0]]),
+                     "layer 3: V present outside hidden layers 2..L"),
+    "V shape": (lambda doc: doc["layers"][1].update(V=[[0.0, 0.0], [1.0, 0.0]]),
+                "layer 1: V shape (2, 2), expected (2, 1)"),
+    "skip_counts length": (lambda doc: doc.update(skip_counts=[1]),
+                           "architecture: skip_counts has length 1, expected L-1 = 2"),
+    # a sparse V is the only way into mat_nonzero_rows' CSR branch
+    "sparse V over budget": (
+        lambda doc: doc["layers"][1].update(
+            V={"shape": [2, 1], "rows": [0, 1], "cols": [0, 0], "values": [1.0, 1.0]}),
+        "layer 1: skip budget exceeded at layer 2 (2 nonzero rows of V > s_2=1)"),
 }
 
 

@@ -27,6 +27,20 @@ def test_geometry_sizes_and_groups():
         CellGeometry("skip", 1, 1, 1, t=2)
 
 
+@pytest.mark.parametrize("kind", ["skip", "lin"])
+def test_geometry_without_levels_has_no_decoder(kind):
+    from heavinet.builders import holder_approximator
+    from heavinet.targets import TARGETS
+
+    geom = CellGeometry(kind, 1, 0, 0)  # the one-point shattering geometry
+    assert geom.levels == 0
+    with pytest.raises(InvalidInputError, match="no digit levels"):
+        BitTable(geom, np.ones((1, 1, 1), dtype=int))
+    config = TARGETS["x2"].holder_config(0, 0, 0 if kind == "lin" else None)
+    with pytest.raises(InvalidInputError, match="no digit levels"):
+        holder_approximator(kind, config)
+
+
 def test_index_map_round_trip():
     geom = CellGeometry("skip", 2, 1, 2)
     for j, k, r in geom.all_cells():

@@ -7,6 +7,7 @@ from heavinet import InvalidInputError, PrecisionError, evaluate_batch, validate
 from heavinet.analysis import sup_error
 from heavinet.builders import HolderConfig, holder_approximator, multi_indices
 from heavinet.radix import binary_digits_array
+from heavinet.targets import TARGETS
 from taylor import taylor_reference, taylor_reference_batch
 
 
@@ -158,3 +159,15 @@ def test_constant_target_reproduced_to_quantization():
     centers = np.arange(8) / 8 + 1 / 16
     out = evaluate_batch(built.net, centers[:, None])[:, 0]
     assert np.max(np.abs(out - c)) <= 2.0 ** -q * 1.0
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_each_target_states_the_derivatives_its_construction_reads(name):
+    # one entry per |alpha|_1 < beta: the value is the zero index, and every
+    # derivative stays within the bound stated next to it
+    target = TARGETS[name]
+    assert set(target.bounds) == set(multi_indices(target.d, target.beta))
+    X = np.random.default_rng(3).uniform(0, 1, (200, target.d))
+    assert np.array_equal(target.value(X), target.deriv((0,) * target.d, X))
+    for alpha, bound in target.bounds.items():
+        assert np.max(np.abs(target.deriv(alpha, X))) <= bound

@@ -100,6 +100,23 @@ def test_validate_reports_skip_budget():
     assert any("skip budget exceeded at layer 2" in v for v in err.value.violations)
 
 
+@pytest.mark.parametrize("kind, skip_counts, lin_count, violation", [
+    (NetworkKind.PLAIN, (1,), 0, "architecture: skip_counts set on a non-skip network"),
+    (NetworkKind.LIN, (1,), 0, "architecture: skip_counts set on a non-skip network"),
+    (NetworkKind.PLAIN, (), 1, "architecture: lin_count set on a non-lin network"),
+    (NetworkKind.SKIP, (0,), 1, "architecture: lin_count set on a non-lin network"),
+])
+def test_validate_reports_budgets_of_another_kind(kind, skip_counts, lin_count, violation):
+    # no document can say this: the reader fills these fields by kind
+    arch = Architecture(kind, (1, 2, 2, 1), skip_counts, lin_count)
+    layers = (LayerParams(np.zeros((2, 1)), np.zeros(2)),
+              LayerParams(np.zeros((2, 2)), np.zeros(2)),
+              LayerParams(np.zeros((1, 2)), np.zeros(1)))
+    with pytest.raises(InvalidNetworkError) as err:
+        Network(arch, layers)
+    assert err.value.violations == [violation]
+
+
 def test_network_without_hidden_layer_cannot_be_made():
     with pytest.raises(InvalidNetworkError) as err:
         Network(Architecture(NetworkKind.PLAIN, (1, 1)), (LayerParams(np.eye(1), np.zeros(1)),))

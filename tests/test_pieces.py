@@ -60,6 +60,36 @@ def test_rect_diagonal_three_pieces():
     assert part.values[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("breakpoints, sides, values, interior, point_values", [
+    ((0.0,), (-1,), (1.0, 2.0), 2.0, {0.0: 1.0}),
+    ((1.0,), (1,), (1.0, 2.0), 1.0, {1.0: 2.0}),
+    ((0.0, 1.0), (-1, 1), (1.0, 2.0, 3.0), 2.0, {0.0: 1.0, 1.0: 3.0}),
+])
+def test_endpoint_crossings_are_single_point_pieces(breakpoints, sides, values, interior,
+                                                    point_values):
+    from heavinet.builders import PieceSpec, piecewise_constant_1d
+
+    # a crossing at exactly t = 0 or 1 gives its end a value of its own,
+    # stored without a breakpoint entry
+    net = piecewise_constant_1d(PieceSpec(breakpoints, sides, values)).net
+    part = exact_pieces(net, [0.0], [1.0])
+    assert part.piece_count == 1 + len(point_values)
+    assert part.breakpoints.size == 0
+    assert {t: v.tolist() for t, v in part.point_values.items()} == \
+        {t: [v] for t, v in point_values.items()}
+    assert part.values.tolist() == [[interior]] and part.value_at(0.5)[0] == interior
+    for t, v in point_values.items():
+        assert part.value_at(t)[0] == v
+    assert sampled_pieces(net, [0.0], [1.0], 1000) == part.piece_count
+
+
+@pytest.mark.parametrize("t", [-0.5, 1.5, math.inf])
+def test_value_at_refuses_a_parameter_outside_the_segment(t):
+    part = exact_pieces(xor_network().net, [0.1, -0.1], [-0.1, 0.1])
+    with pytest.raises(InvalidInputError, match="outside"):
+        part.value_at(t)
+
+
 def test_degenerate_segment():
     built = xor_network()
     part = exact_pieces(built.net, [0.3, 0.3], [0.3, 0.3])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavinet import InvalidInputError, mixed_radix_digits
+from heavinet import InvalidInputError, PrecisionError, mixed_radix_digits
 from heavinet.radix import binary_digits, binary_digits_array, radix_products
 
 
@@ -20,6 +20,22 @@ def test_hand_values():
 def test_one_takes_top_digits():
     assert mixed_radix_digits(1.0, (2, 3)).digits == (1, 2)
     assert mixed_radix_digits(1.0, (7, 7)).digits == (6, 6)
+
+
+def test_digit_budget_is_the_float64_significand():
+    # 52 binary digits are exact; one more is a PrecisionError in every oracle
+    assert mixed_radix_digits(0.75, (2,) * 52).digits[:3] == (1, 1, 0)
+    assert mixed_radix_digits(0.75, (2**26, 2**26)).digits == (3 * 2**24, 0)
+    assert binary_digits(0.75, 52).digits == mixed_radix_digits(0.75, (2,) * 52).digits
+    assert binary_digits_array([0.75], 52)[0, :3].tolist() == [1, 1, 0]
+    for oracle in (lambda: mixed_radix_digits(0.5, (2,) * 53),
+                   lambda: mixed_radix_digits(0.5, (2**26, 2**26 + 1)),
+                   lambda: binary_digits(0.5, 53),
+                   lambda: binary_digits_array([0.5], 53),
+                   lambda: binary_digits(0.5, 10**9),
+                   lambda: binary_digits_array([0.5], 10**9)):
+        with pytest.raises(PrecisionError, match="binary digits"):
+            oracle()
 
 
 def test_domain_and_radix_validation():

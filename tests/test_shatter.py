@@ -90,6 +90,20 @@ def test_sampled_certificate_for_larger_geometry():
     assert len(cert.points) == 32
 
 
+@pytest.mark.parametrize("kind, m, n, t", [
+    ("skip", 1, -2, 0), ("skip", -1, 2, 0), ("lin", -2, 0, 1), ("lin", 0, 0, -1),
+    ("skip", 0, 0, 1), ("skip", 1, 0, 1), ("tree", 1, 0, 0),
+])
+def test_invalid_geometry_refused(kind, m, n, t):
+    # the geometry rules are CellGeometry's, the one-point geometry included
+    with pytest.raises(InvalidInputError):
+        CellGeometry(kind, 1, m, n, t)
+    for make in (shatter_points, shatter_verify, shatter_template,
+                 lambda *geometry: shattering_net(*geometry, labeling=[1])):
+        with pytest.raises(InvalidInputError):
+            make(kind, m, n, t)
+
+
 @pytest.mark.parametrize("sample", [0, -3])
 def test_sampled_certificate_needs_a_labeling(sample):
     with pytest.raises(InvalidInputError, match="sample_labelings"):

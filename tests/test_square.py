@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from heavinet import InvalidInputError, evaluate, evaluate_batch, mixed_radix_digits, validate
+from heavinet import (InvalidInputError, PrecisionError, evaluate, evaluate_batch,
+                      mixed_radix_digits, validate)
 from heavinet.builders import square_approximator
 from heavinet.radix import radix_products
 
@@ -69,3 +70,10 @@ def test_requires_trailing_zero_budget():
         square_approximator(3, 1, (1, 1))
     with pytest.raises(InvalidInputError):
         square_approximator(1, 1, ())
+
+
+@pytest.mark.parametrize("L, p1, skips", [(2, 2**26, (0,)), (3, 2**13, (2**13, 0))])
+def test_squared_digit_grid_past_the_significand_rejected(L, p1, skips):
+    # S = 2^26 + 1 and (2^13 + 1)^2: S^2 needs 53 binary digits
+    with pytest.raises(PrecisionError, match="53 binary digits"):
+        square_approximator(L, p1, skips)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from heavinet import InvalidInputError
+from heavinet import InvalidInputError, ResourceLimitError
 from heavinet.analysis import axis_grid, sup_error
-from heavinet.builders import piecewise_constant_1d, PieceSpec, square_approximator
+from heavinet.builders import piecewise_constant_1d, PieceSpec, square_approximator, xor_network
 
 
 def test_zero_when_target_equals_network():
@@ -52,6 +52,16 @@ def test_default_grid_respects_budget():
     assert len(axis_grid(22)[0]) == 2  # one interval, which the cap then refuses
     with pytest.raises(InvalidInputError):
         axis_grid(1, extra=[1.5])
+
+
+def test_grid_over_the_cap_is_a_resource_limit():
+    from heavinet.analysis.sup import check_grid_size
+
+    check_grid_size(4_000_000)
+    with pytest.raises(ResourceLimitError, match="grid of 4000001 points exceeds the 4000000 cap"):
+        check_grid_size(4_000_001)
+    with pytest.raises(ResourceLimitError, match="grid of 4004001 points"):
+        sup_error(xor_network().net, lambda X: np.zeros(len(X)), per_axis=2000)
 
 
 def test_grid_rows_are_slices_of_the_last_axis_fastest_grid():
