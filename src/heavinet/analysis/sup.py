@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from ..errors import InvalidInputError, ResourceLimitError
 from ..networks import Network, evaluate_batch
 
-__all__ = ["SupErrorResult", "sup_error", "axis_grid", "grid_rows"]
+__all__ = ["SupErrorResult", "sup_error", "axis_grid", "grid_rows", "grid_blocks"]
 
 TOTAL_POINT_CAP = 4_000_000
 DEFAULT_AXIS_POINTS = 100_000
@@ -63,6 +64,16 @@ def grid_rows(axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
     return rows
 
 
+def grid_blocks(axes: list[np.ndarray]):
+    """Yield the tensor grid over ``axes``, last axis fastest, as
+    ``grid_rows`` blocks of ``GRID_CHUNK`` points: the walk that
+    ``sup_error`` and the CLI's ``eval --grid`` share.  The caller checks
+    the grid's size."""
+    total = math.prod(len(a) for a in axes)
+    for lo in range(0, total, GRID_CHUNK):
+        yield grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
+
+
 def sup_error(net: Network, f0, per_axis: int | None = None, extra=()) -> SupErrorResult:
     """Max |net - f0| over a tensor grid of the unit cube.
 
@@ -77,8 +88,7 @@ def sup_error(net: Network, f0, per_axis: int | None = None, extra=()) -> SupErr
 
     best_val = -1.0
     best_pt = None
-    for lo in range(0, total, GRID_CHUNK):
-        block = grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
+    for block in grid_blocks(axes):
         out = evaluate_batch(net, block)[:, 0]
         target = np.asarray(f0(block), dtype=float).reshape(-1)
         err = np.abs(out - target)

@@ -46,7 +46,7 @@ from .bits import grow_narrow_digit
 from .built import BuiltNetwork, Construction
 from .dsl import NetBuilder
 
-__all__ = ["CellGeometry", "BitTable", "decoder",
+__all__ = ["CellGeometry", "BitTable", "decoder", "check_lin_packing",
            "grow_skip_decoder_bank", "grow_lin_decoder"]
 
 
@@ -266,6 +266,15 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
     return [[out, *acc] for out, acc in zip(outs, sums)], [cur[h] for h in carry]
 
 
+def check_lin_packing(geom: CellGeometry) -> None:
+    """Refuse a lin geometry whose stored-bit columns do not pack: each
+    column packs its R = 2^(t d) bits into one float64, so R <= 52.  The
+    rule reads the geometry alone, so it can run before any payload is
+    drawn."""
+    if geom.kind == "lin":
+        check_digit_budget(2 ** (geom.t * geom.d), "lin decoder packing")
+
+
 def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
                      carry: list[int] = (), absorb: list[list[int]] = (),
                      sites: list | None = None) -> tuple[list[int], list[int]]:
@@ -282,12 +291,13 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     reported as ``(row handle, column handle, cell, coefficient)`` terms:
     an accumulator weight is the sum of ``coefficient * payload.flat[cell]``
     over its R terms, one per bit packed into the column.  Packing needs
-    R <= 52 so that every packed column is an exact float64.
+    R <= 52 (``check_lin_packing``) so that every packed column is an
+    exact float64.
     """
     geom = table.geometry
     gj, gk, gr = geom.group_levels()
     J, K, R = geom.sizes
-    check_digit_budget(R, "lin decoder packing")
+    check_lin_packing(geom)
     chunk = 2 ** (geom.m * geom.d)
     lam = table.payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
 

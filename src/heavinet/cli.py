@@ -39,16 +39,11 @@ from .analysis import (
     sup_error,
 )
 from .analysis.bounds import MAX_DEPTH, MAX_WIDTH
-from .analysis.sup import GRID_CHUNK, TOTAL_POINT_CAP, axis_grid, check_grid_size, grid_rows
+from .analysis.sup import TOTAL_POINT_CAP, axis_grid, check_grid_size, grid_blocks
 from .builders import BitTable, CellGeometry
-from .errors import (
-    InvalidInputError,
-    InvalidNetworkError,
-    ParseError,
-    PrecisionError,
-    ResourceLimitError,
-)
-from .networks import NetworkKind, evaluate_batch
+from .builders.decoders import check_lin_packing
+from .errors import InvalidInputError, InvalidNetworkError, ResourceLimitError
+from .networks import Architecture, NetworkKind, evaluate_batch
 from .serialize import from_document, to_document
 from .targets import TARGETS
 
@@ -138,46 +133,35 @@ def _payload_from_arg(geom: CellGeometry, arg: str, seed: int) -> np.ndarray:
     return _bits_from_arg(arg, J * K * R, "payload", " (or 'random')").reshape(J, K, R)
 
 
+# -- build makers: each returns the construction its sub-parser describes ----
+
+def _make_bits(args):
+    if args.kind == "lin":
+        if args.L is None:
+            raise InvalidInputError("build bits --kind lin needs --L")
+        return builders.binary_bit_extractor_lin(args.L, args.variant)
+    if not args.radix:
+        raise InvalidInputError("build bits --kind skip needs --radix")
+    return builders.mixed_radix_bit_extractor(_csv_ints(args.radix))
+
+
+def _make_decoder(args):
+    geom = CellGeometry(args.kind, args.d, args.m, args.n, args.t if args.kind == "lin" else 0)
+    check_lin_packing(geom)  # before the payload is drawn
+    table = BitTable(geom, _payload_from_arg(geom, args.payload, args.seed))
+    return builders.decoder(args.kind, table, args.r_select)
+
+
+def _make_shatter_net(args):
+    count = builders.shatter_points(args.kind, args.m, args.n, args.t).size
+    lam = _bits_from_arg(args.labels, count, "labels")
+    return builders.shattering_net(args.kind, args.m, args.n, args.t, lam)[0]
+
+
 # -- subcommands --------------------------------------------------------------
 
 def _cmd_build(args) -> int:
-    what = args.what
-    if what == "rect":
-        built = builders.hyperrectangle_indicator(_csv_floats(args.a), _csv_floats(args.b))
-    elif what == "parity":
-        built = builders.parity_network(args.d)
-    elif what == "xor":
-        built = builders.xor_network()
-    elif what == "pc1d":
-        built = builders.piecewise_constant_1d(builders.PieceSpec(
-            tuple(_csv_floats(args.breakpoints)), tuple(_csv_ints(args.sides)),
-            tuple(_csv_floats(args.values))))
-    elif what == "square":
-        built = builders.square_approximator(args.L, args.p1, _csv_ints(args.skips))
-    elif what == "bits":
-        if args.kind == "lin":
-            if args.L is None:
-                raise InvalidInputError("build bits --kind lin needs --L")
-            built = builders.binary_bit_extractor_lin(args.L, args.variant)
-        else:
-            if not args.radix:
-                raise InvalidInputError("build bits --kind skip needs --radix")
-            built = builders.mixed_radix_bit_extractor(_csv_ints(args.radix))
-    elif what == "decoder":
-        geom = CellGeometry(args.kind, args.d, args.m, args.n, args.t if args.kind == "lin" else 0)
-        table = BitTable(geom, _payload_from_arg(geom, args.payload, args.seed))
-        built = builders.decoder(args.kind, table, args.r_select)
-    elif what == "holder":
-        cfg = TARGETS[args.target].holder_config(
-            args.m, args.n, args.t if args.kind == "lin" else None)
-        built = builders.holder_approximator(args.kind, cfg)
-    elif what == "shatter-net":
-        count = builders.shatter_points(args.kind, args.m, args.n, args.t).size
-        lam = _bits_from_arg(args.labels, count, "labels")
-        built, _ = builders.shattering_net(args.kind, args.m, args.n, args.t, lam)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInputError(f"unknown construction {what!r}")
-    _write(args.output, to_document(built))
+    _write(args.output, to_document(args.make(args)))
     return 0
 
 
@@ -191,11 +175,8 @@ def _cmd_eval(args) -> int:
         n = args.grid
         if n < 1:
             raise InvalidInputError("--grid needs at least one interval")
-        total = (n + 1) ** d
-        check_grid_size(total)
-        axes = [np.arange(n + 1) / n for _ in range(d)]
-        grid = (grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
-                for lo in range(0, total, GRID_CHUNK))
+        check_grid_size((n + 1) ** d)  # before the axes are made
+        grid = grid_blocks([np.arange(n + 1) / n for _ in range(d)])
         blocks = ((X, evaluate_batch(net, X)) for X in grid)
     header = ",".join([f"x{i + 1}" for i in range(d)]
                       + [f"y{i + 1}" for i in range(net.arch.output_dim)])
@@ -221,45 +202,48 @@ def _cmd_pieces(args) -> int:
     return 0
 
 
+def _square_cases(args):
+    """``sweep square``: per (L, s), the labels, the approximator, its
+    target x^2 and its cell edges."""
+    for L in _range(args.L):
+        for s in _range(args.s):
+            # the approximator's cells have edges k/S, S = (s+1)^(L-1); they
+            # join the grid when S <= 100 000 (17 factors of at least 2
+            # exceed that), and the grid is checked before the build
+            S = (s + 1) ** min(L - 1, 17) if L >= 2 and s >= 1 else 0
+            extra = [k / S for k in range(S + 1)] if 0 < S <= 100_000 else []
+            # merging the edges into the axis can only shrink it
+            if args.grid + 1 + len(extra) > TOTAL_POINT_CAP:
+                check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
+            built = builders.square_approximator(L, s, (s,) * (L - 2) + (0,))
+            yield (L, s), built, TARGETS["x2"].value, extra
+
+
+def _holder_cases(args):
+    """``sweep holder``: per (m, n), the labels, the approximator, its
+    target and no extra grid points."""
+    target = TARGETS[args.target]
+    for m in _range(args.m):
+        for n in _range(args.n):
+            cfg = target.holder_config(m, n, args.t if args.kind == "lin" else None)
+            built = builders.holder_approximator(args.kind, cfg)
+            yield (m, n, built.construction.parameters["q"]), built, target.value, ()
+
+
 def _cmd_sweep(args) -> int:
     # the grid size follows from the arguments: refuse it before any build
     if args.grid < 1:
         raise InvalidInputError("--grid needs at least one interval")
     d = 1 if args.what == "square" else TARGETS[args.target].d
     check_grid_size((args.grid + 1) ** d)
-    rows = []
+    rows = [f"{args.columns},bound,measured_sup_error,ratio"]
     worst_ratio = 0.0
-    if args.what == "square":
-        rows.append("L,s,bound,measured_sup_error,ratio")
-        for L in _range(args.L):
-            for s in _range(args.s):
-                # the approximator's cells have edges k/S, S = (s+1)^(L-1); they
-                # join the grid when S <= 100 000 (17 factors of at least 2
-                # exceed that), and the grid is checked before the build
-                S = (s + 1) ** min(L - 1, 17) if L >= 2 and s >= 1 else 0
-                extra = [k / S for k in range(S + 1)] if 0 < S <= 100_000 else []
-                # merging the edges into the axis can only shrink it
-                if args.grid + 1 + len(extra) > TOTAL_POINT_CAP:
-                    check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
-                built = builders.square_approximator(L, s, (s,) * (L - 2) + (0,))
-                bound = built.guarantee.sup_error_bound
-                res = sup_error(built.net, lambda X: X[:, 0] ** 2, per_axis=args.grid, extra=extra)
-                ratio = res.value / bound
-                worst_ratio = max(worst_ratio, ratio)
-                rows.append(f"{L},{s},{bound!r},{res.value!r},{ratio!r}")
-    else:
-        rows.append("m,n,q,bound,measured_sup_error,ratio")
-        target = TARGETS[args.target]
-        for m in _range(args.m):
-            for n in _range(args.n):
-                cfg = target.holder_config(m, n, args.t if args.kind == "lin" else None)
-                built = builders.holder_approximator(args.kind, cfg)
-                bound = built.guarantee.sup_error_bound
-                res = sup_error(built.net, target.value, per_axis=args.grid)
-                ratio = res.value / bound
-                worst_ratio = max(worst_ratio, ratio)
-                q = built.construction.parameters["q"]
-                rows.append(f"{m},{n},{q},{bound!r},{res.value!r},{ratio!r}")
+    for labels, built, f0, extra in args.cases(args):
+        bound = built.guarantee.sup_error_bound
+        res = sup_error(built.net, f0, per_axis=args.grid, extra=extra)
+        ratio = res.value / bound
+        worst_ratio = max(worst_ratio, ratio)
+        rows.append(",".join([*map(str, labels), repr(bound), repr(res.value), repr(ratio)]))
     _write(args.output, "\n".join(rows) + "\n")
     return 0 if worst_ratio <= 1.0 else VERIFY_ERROR
 
@@ -272,7 +256,6 @@ def _cmd_shatter(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .networks import Architecture
     if args.L < 1:
         raise InvalidInputError(f"bounds: depth {args.L} < 1")
     if args.L > MAX_DEPTH:
@@ -280,13 +263,10 @@ def _cmd_bounds(args) -> int:
     if max(args.p, args.s, args.d) > MAX_WIDTH:
         raise ResourceLimitError(
             f"bounds: width {max(args.p, args.s, args.d)} exceeds heavinet's cap of {MAX_WIDTH}")
-    widths = (args.d, *([args.p] * args.L), 1)
-    if args.kind == "plain":
-        arch = Architecture(NetworkKind.PLAIN, widths)
-    elif args.kind == "skip":
-        arch = Architecture(NetworkKind.SKIP, widths, (args.s,) * (args.L - 1))
-    else:
-        arch = Architecture(NetworkKind.LIN, widths, (), args.s)
+    kind = NetworkKind(args.kind)
+    arch = Architecture(kind, (args.d, *([args.p] * args.L), 1),
+                        (args.s,) * (args.L - 1) if kind is NetworkKind.SKIP else (),
+                        args.s if kind is NetworkKind.LIN else 0)
     rep = bound_report(arch, (args.lo, args.hi))
     lines = ["kind,L,p,s,d,piece_bound,vc_upper_bound,approx_lower_bound",
              ",".join([rep.kind, str(rep.depth), str(args.p), str(args.s), str(args.d),
@@ -306,6 +286,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _geometry(p: argparse.ArgumentParser, t: int, **between) -> argparse.ArgumentParser:
+    """Declare the cell geometry ``--kind --m --n --t`` on ``p``, with
+    ``--t`` defaulting to ``t``; ``between`` names further options (flag
+    name to ``add_argument`` keywords) declared right after ``--kind``,
+    which fixes their place in the usage and help text."""
+    p.add_argument("--kind", choices=["skip", "lin"], required=True)
+    for flag, spec in between.items():
+        p.add_argument(f"--{flag}", **spec)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--t", type=int, default=t)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, made on first use and shared by every later
@@ -314,48 +308,48 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each construction registers its maker next to its flags
     b = sub.add_parser("build", help="emit a construction as a network document")
     bs = b.add_subparsers(dest="what", required=True)
     p = bs.add_parser("rect")
     p.add_argument("--a", required=True, help="lower corner, comma separated")
     p.add_argument("--b", required=True, help="upper corner, comma separated")
+    p.set_defaults(make=lambda a: builders.hyperrectangle_indicator(_csv_floats(a.a),
+                                                                    _csv_floats(a.b)))
     p = bs.add_parser("parity")
     p.add_argument("--d", type=int, required=True)
-    bs.add_parser("xor")
+    p.set_defaults(make=lambda a: builders.parity_network(a.d))
+    bs.add_parser("xor").set_defaults(make=lambda a: builders.xor_network())
     p = bs.add_parser("pc1d")
     p.add_argument("--breakpoints", required=True)
     p.add_argument("--sides", required=True, help="+1/-1 per breakpoint")
     p.add_argument("--values", required=True)
+    p.set_defaults(make=lambda a: builders.piecewise_constant_1d(builders.PieceSpec(
+        tuple(_csv_floats(a.breakpoints)), tuple(_csv_ints(a.sides)),
+        tuple(_csv_floats(a.values)))))
     p = bs.add_parser("square")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--p1", type=int, required=True)
     p.add_argument("--skips", required=True, help="s_2..s_L, last must be 0")
+    p.set_defaults(make=lambda a: builders.square_approximator(a.L, a.p1, _csv_ints(a.skips)))
     p = bs.add_parser("bits")
     p.add_argument("--kind", choices=["skip", "lin"], default="skip")
     p.add_argument("--radix", help="skip kind: radix vector, e.g. 2,2,2")
     p.add_argument("--L", type=int, help="lin kind: number of binary digits")
     p.add_argument("--variant", choices=["wide", "narrow"], default="narrow")
-    p = bs.add_parser("decoder")
-    p.add_argument("--kind", choices=["skip", "lin"], required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
+    p.set_defaults(make=_make_bits)
+    p = _geometry(bs.add_parser("decoder"), 0, d={"type": int, "default": 1})
     p.add_argument("--payload", default="random", help="JKR bits or 'random'")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r-select", type=int, default=None)
-    p = bs.add_parser("holder")
-    p.add_argument("--kind", choices=["skip", "lin"], required=True)
-    p.add_argument("--target", choices=list(TARGETS), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=1)
-    p = bs.add_parser("shatter-net")
-    p.add_argument("--kind", choices=["skip", "lin"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
+    p.set_defaults(make=_make_decoder)
+    p = _geometry(bs.add_parser("holder"), 1,
+                  target={"choices": list(TARGETS), "required": True})
+    p.set_defaults(make=lambda a: builders.holder_approximator(
+        a.kind, TARGETS[a.target].holder_config(a.m, a.n, a.t if a.kind == "lin" else None)))
+    p = _geometry(bs.add_parser("shatter-net"), 0)
     p.add_argument("--labels", required=True, help="0/1 string, one per point")
+    p.set_defaults(make=_make_shatter_net)
     for sp in bs.choices.values():
         sp.add_argument("-o", "--output", default=None)
     b.set_defaults(func=_cmd_build)
@@ -386,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s", required=True, help="range like 1..3")
     q.add_argument("--grid", type=int, default=100_000)
     q.add_argument("-o", "--output", default=None)
+    q.set_defaults(cases=_square_cases, columns="L,s")
     q = ss.add_parser("holder")
     q.add_argument("--kind", choices=["skip", "lin"], default="skip")
     q.add_argument("--target", choices=list(TARGETS), default="x2")
@@ -394,13 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=int, default=1)
     q.add_argument("--grid", type=int, default=2000)
     q.add_argument("-o", "--output", default=None)
+    q.set_defaults(cases=_holder_cases, columns="m,n,q")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("shatter", help="labeling-enumeration certificate")
-    p.add_argument("--kind", choices=["skip", "lin"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=0)
+    p = _geometry(sub.add_parser("shatter", help="labeling-enumeration certificate"), 0)
     p.add_argument("--sample", type=int, default=None,
                    help="spot-check this many labelings instead of all; the structured ones "
                    "(all 0, all 1, alternating, one-point) are always included, and "
@@ -437,9 +429,8 @@ def run(argv=None) -> int:
     except InvalidNetworkError as exc:
         print("\n".join(exc.violations))
         return VERIFY_ERROR
-    except (InvalidInputError, PrecisionError, ResourceLimitError, ParseError,
-            OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ResourceLimitError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -9,7 +9,6 @@ float argument, so a digit never lands on the wrong side of a cell boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,8 +82,13 @@ def check_radix(radix) -> tuple[int, ...]:
         raise InvalidInputError("radix vector is empty")
     if any(d < 2 for d in radix):
         raise InvalidInputError(f"radix entries must be >= 2, got {radix}")
-    prod = math.prod(radix)
-    check_digit_budget((prod - 1).bit_length(), f"radix product {prod}")
+    # the prefix products only grow: stop at the first one past the budget
+    prod = 1
+    for d in radix:
+        prod *= d
+        if prod > 2**52:
+            break
+    check_digit_budget((prod - 1).bit_length(), f"radix prefix product {prod}")
     return radix
 
 

@@ -520,11 +520,11 @@ def test_eval_grid_cap(tmp_path, capsys):
 def test_eval_grid_writes_the_whole_table_in_blocks(tmp_path, capsys, monkeypatch, chunk):
     # the table a grid evaluation writes block by block, to a file and to
     # stdout, has the bytes of the whole grid built at once and written whole
-    from heavinet import cli
+    from heavinet.analysis import sup
     from heavinet.networks import evaluate_batch
     from heavinet.serialize import from_document
 
-    monkeypatch.setattr(cli, "GRID_CHUNK", chunk)
+    monkeypatch.setattr(sup, "GRID_CHUNK", chunk)
     net = tmp_path / "net.json"
     _run(capsys, "build", "rect", "--a", "0.2,0.3", "--b", "0.7,0.9", "-o", str(net))
     n = 9
@@ -538,6 +538,80 @@ def test_eval_grid_writes_the_whole_table_in_blocks(tmp_path, capsys, monkeypatc
     assert code == 0 and out.read_bytes() == want.encode()
     code, printed = _run(capsys, "eval", str(net), "--grid", str(n))
     assert code == 0 and printed == want
+
+
+def test_build_xor(tmp_path, capsys):
+    from heavinet.networks import evaluate_batch
+    from heavinet.serialize import from_document
+
+    net = tmp_path / "xor.json"
+    assert _run(capsys, "build", "xor", "-o", str(net)) == (0, "")
+    X = np.array([[0.5, -0.5], [-0.5, 0.5], [0.5, 0.5], [-0.5, -0.5]])
+    Y = evaluate_batch(from_document(net.read_text()).net, X)
+    assert Y[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("message, line", [
+    ((), "error: out of memory\n"),
+    (("Unable to allocate 8.00 GiB for an array",),
+     "error: Unable to allocate 8.00 GiB for an array\n"),
+])
+def test_memory_error_is_a_usage_error_on_one_line(monkeypatch, capsys, message, line):
+    # exit 1 means "verification failed"; running out of memory is not that
+    def exhausted(*args, **kwargs):
+        raise MemoryError(*message)
+    monkeypatch.setattr(builders, "square_approximator", exhausted)
+    code = run(["build", "square", "--L", "2", "--p1", "1", "--skips", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == line
+
+
+def test_lin_decoder_packing_is_refused_before_the_payload_is_drawn(capsys):
+    # R = 2^12 bits per packed column; the 2^24-entry payload is never made
+    import tracemalloc
+
+    run(["bounds", "--kind", "plain", "--L", "1", "--p", "1"])  # the parser, made once
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(["build", "decoder", "--kind", "lin", "--m", "0", "--n", "0", "--t", "12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: lin decoder packing needs 4096 binary digits, "
+                            "more than a float64 significand holds (52)\n")
+    assert peak < 10 * 2**20
+
+
+def test_a_radix_past_int_to_str_limits_names_the_digit_budget(capsys):
+    code = run(["build", "bits", "--radix", ",".join(["2"] * 20_000)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: radix prefix product {2**53} needs 53 binary digits, "
+                            "more than a float64 significand holds (52)\n")
+
+
+@pytest.mark.parametrize("geometry, budget", [
+    (("skip", "1", "1", "0"), "depth"),
+    (("skip", "1", "1", "0"), "width"),
+    (("lin", "1", "0", "1"), "identity_neurons"),
+])
+def test_shatter_certificate_over_a_budget_exits_1(monkeypatch, capsys, geometry, budget):
+    import heavinet.analysis.certify as certify
+
+    real = certify.shatter_budgets
+
+    def tight(*args):
+        return {**real(*args), budget: 0}
+    monkeypatch.setattr(certify, "shatter_budgets", tight)
+    kind, m, n, t = geometry
+    code, out = _run(capsys, "shatter", "--kind", kind, "--m", m, "--n", n, "--t", t)
+    doc = json.loads(out)
+    assert code == 1 and doc["failures"] == []
+    assert '"budgets_respected": false' in out
 
 
 def test_build_over_document_cap_is_a_usage_error(tmp_path, capsys):

@@ -156,6 +156,19 @@ def test_payload_mismatch_rejected():
         decoder("skip", BitTable(lin_geom, np.zeros(lin_geom.sizes, dtype=int)))
 
 
+@pytest.mark.parametrize("kind, r_select, message", [
+    ("skip", 0, "r_select=0 outside 1..2"),
+    ("skip", 3, "r_select=3 outside 1..2"),
+    ("lin", 1, "r_select applies to the skip family only"),
+])
+def test_r_select_out_of_range_or_on_lin_is_refused(kind, r_select, message):
+    geom = CellGeometry(kind, 1, 1, 1, 0) if kind == "skip" else CellGeometry(kind, 1, 1, 0, 1)
+    table = BitTable(geom, np.zeros(geom.sizes, dtype=int))
+    with pytest.raises(InvalidInputError) as err:
+        decoder(kind, table, r_select)
+    assert str(err.value) == message
+
+
 def test_lin_packing_past_the_significand_rejected():
     # R = 2^6 = 64 stored bits cannot pack into one float64 column
     geom = CellGeometry("lin", 1, 0, 0, 6)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heavinet import NetworkKind, evaluate_batch
+from heavinet import InvalidInputError, NetworkKind, evaluate_batch
 from heavinet.builders import (
     BitTable,
     CellGeometry,
@@ -119,3 +119,59 @@ def test_gates_over_no_handles_are_constants():
     X, Y, stage = _gate_outputs(1, lambda bits: [])
     assert np.array_equal(Y, np.tile([1.0, 0.0], (len(X), 1)))  # AND always, OR never
     assert np.array_equal(stage.W, np.zeros((2, 1))) and np.array_equal(stage.b, [-0.5, 0.5])
+
+
+def _grow(nb, depth):
+    """``depth`` hidden layers of one step neuron each, the first reading
+    x_1; returns their handles."""
+    handles = []
+    for _ in range(depth):
+        nb.new_layer()
+        handles.append(nb.step({handles[-1]: 1.0} if handles else {0: 1.0}))
+    return handles
+
+
+PLAIN, SKIP, LIN = NetworkKind.PLAIN, NetworkKind.SKIP, NetworkKind.LIN
+
+# every assembly refusal of NetBuilder: (kind, steps on a 2-input builder, message)
+ASSEMBLY_REFUSALS = {
+    "neuron before a layer": (PLAIN, lambda nb: nb.step({0: 1.0}),
+                              "add a layer before adding neurons"),
+    "tap on layer 1": (SKIP, lambda nb: (nb.new_layer(), nb.step({}, inp={0: 1.0})),
+                       "first hidden layer reads the input through prev"),
+    "input out of range": (PLAIN, lambda nb: (nb.new_layer(), nb.step({2: 1.0})),
+                           "input coordinate 2 out of range"),
+    "non-adjacent handle": (PLAIN, lambda nb: nb.step({_grow(nb, 3)[0]: 1.0}),
+                            "neuron references a non-adjacent handle"),
+    "tap on a plain net": (PLAIN, lambda nb: nb.step({_grow(nb, 2)[0]: 1.0}, inp={0: 1.0}),
+                           "input taps beyond layer 1 need the skip kind"),
+    "tap out of range": (SKIP, lambda nb: nb.step({_grow(nb, 2)[0]: 1.0}, inp={3: 1.0}),
+                         "input coordinate 3 out of range"),
+    "identity on skip": (SKIP, lambda nb: (nb.new_layer(), nb.linear({0: 1.0})),
+                         "identity neurons need the lin kind"),
+    "output lengths": (PLAIN, lambda nb: nb.output([{_grow(nb, 1)[0]: 1.0}], [0.0, 0.0]),
+                       "output rows and bias lengths differ"),
+    "output not last": (PLAIN, lambda nb: nb.output([{_grow(nb, 2)[0]: 1.0}], [0.0]),
+                        "output references a non-last-layer handle"),
+    "no output": (PLAIN, lambda nb: (_grow(nb, 1), nb.build()), "output layer not set"),
+    "no hidden layer": (PLAIN, lambda nb: (nb.output([{}], [0.0]), nb.build()),
+                        "network needs at least one hidden layer"),
+    "empty layer": (PLAIN, lambda nb: (_grow(nb, 1), nb.new_layer(), nb.output([{}], [0.0]),
+                                       nb.build()),
+                    "empty hidden layer"),
+    "identity only": (LIN, lambda nb: (nb.new_layer(),
+                                       nb.output([{nb.linear({0: 1.0}): 1.0}], [0.0]),
+                                       nb.build()),
+                      "every hidden layer needs at least one step neuron"),
+    "identity last": (LIN, lambda nb: (_grow(nb, 1), nb.linear({0: 1.0}),
+                                       nb.output([{}], [0.0]), nb.build()),
+                      "last hidden layer of a lin network must be pure step"),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_REFUSALS)
+def test_each_assembly_refusal_names_its_rule(case):
+    kind, steps, message = ASSEMBLY_REFUSALS[case]
+    with pytest.raises(InvalidInputError) as err:
+        steps(NetBuilder(2, kind))
+    assert str(err.value) == message

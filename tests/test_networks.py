@@ -117,6 +117,17 @@ def test_validate_reports_budgets_of_another_kind(kind, skip_counts, lin_count, 
     assert err.value.violations == [violation]
 
 
+@pytest.mark.parametrize("kind", [NetworkKind.PLAIN, NetworkKind.LIN])
+def test_validate_reports_taps_on_a_non_skip_network(kind):
+    arch = Architecture(kind, (1, 2, 2, 1))
+    layers = (LayerParams(np.zeros((2, 1)), np.zeros(2)),
+              LayerParams(np.zeros((2, 2)), np.zeros(2), np.ones((2, 1))),
+              LayerParams(np.zeros((1, 2)), np.zeros(1)))
+    with pytest.raises(InvalidNetworkError) as err:
+        Network(arch, layers)
+    assert err.value.violations == [f"layer 1: V present on a {kind.value} network"]
+
+
 def test_network_without_hidden_layer_cannot_be_made():
     with pytest.raises(InvalidNetworkError) as err:
         Network(Architecture(NetworkKind.PLAIN, (1, 1)), (LayerParams(np.eye(1), np.zeros(1)),))

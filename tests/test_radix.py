@@ -1,5 +1,6 @@
 """Digit recursion: hand values, conventions, and the truncation sandwich."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavinet import InvalidInputError, PrecisionError, mixed_radix_digits
-from heavinet.radix import binary_digits, binary_digits_array, radix_products
+from heavinet.radix import binary_digits, binary_digits_array, check_radix, radix_products
 
 
 def test_hand_values():
@@ -45,6 +46,18 @@ def test_domain_and_radix_validation():
         mixed_radix_digits(0.5, (1, 2))
     with pytest.raises(InvalidInputError):
         mixed_radix_digits(0.5, (2,) * 53)
+
+
+def test_check_radix_stops_at_the_first_prefix_past_the_budget():
+    # the whole product of 10^6 twos took 25 s, and its digits are past
+    # Python's int-to-str limit; the first prefix past 2^52 is 2^53
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=f"radix prefix product {2**53} needs 53 binary"):
+        check_radix((2,) * 10**6)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(PrecisionError, match=f"radix prefix product {3 * 2**52} "):
+        check_radix((2,) * 52 + (3, 7))
+    assert check_radix([2] * 52) == (2,) * 52
 
 
 @settings(max_examples=300, deadline=None)
