@@ -68,6 +68,11 @@ MERGE_TOL = 1e-12
 # level of bisection already has more: enough to spare most rounds' fixed
 # cost on a small network, few enough that a large one's points stay cheap
 REFINE_POINTS = 128
+# pattern keys: the shifted sum costs about half of np.packbits per entry,
+# but more per call; the two cost the same near 512 entries.  Row r of a
+# byte of 8 rows goes to bit 7 - r, as np.packbits has it
+SHIFT_PACK_MIN_ENTRIES = 512
+_BIT_SHIFTS = np.arange(7, -1, -1, dtype=np.uint8)[:, None]
 
 
 @dataclass
@@ -171,9 +176,23 @@ def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
 
 def _pattern_keys(pat: np.ndarray) -> np.ndarray:
     """One key per column of a 0/1 pattern matrix (width, points): the
-    column's bits packed into bytes, as one void scalar.  Two keys are
-    equal exactly when the two columns are."""
-    packed = np.packbits(pat.T.astype(bool, order="C"), axis=1)
+    column's bits packed into bytes, first row in the high bit, as one
+    void scalar (the bytes of ``np.packbits`` along the column).  Two keys
+    are equal exactly when the two columns are.
+
+    From ``SHIFT_PACK_MIN_ENTRIES`` entries on, the rows go into a uint8
+    copy padded to whole bytes of 8 rows; each row is shifted to its bit
+    and each byte's 8 rows are summed, so only the packed bytes are
+    transposed.  A smaller pattern is packed from a transposed bool copy,
+    which has the smaller fixed cost."""
+    width, points = pat.shape
+    if pat.size < SHIFT_PACK_MIN_ENTRIES:
+        packed = np.packbits(pat.T.astype(bool, order="C"), axis=1)
+    else:
+        bits = np.zeros((-(-width // 8), 8, points), np.uint8)
+        bits.reshape(-1, points)[:width] = pat
+        bits <<= _BIT_SHIFTS
+        packed = bits.sum(axis=1, dtype=np.uint8).T.copy()
     return packed.view(f"V{packed.shape[1]}")[:, 0]
 
 

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidInputError
+from ..errors import InvalidInputError, PrecisionError
 from ..networks import NetworkKind
-from ..radix import check_digit_budget
 from .bits import grow_narrow_digit
 from .built import BuiltNetwork, Construction
 from .dsl import NetBuilder
@@ -241,7 +240,7 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
         raise InvalidInputError("bank tables must share one geometry")
     J, K, R = geom.sizes
     carry = list(carry)
-    tapped = not nb.layers  # bits are input coordinates
+    tapped = not nb.depth  # bits are input coordinates
     forwarded = [] if tapped else list(bits)
     cur = {h: h for h in dict.fromkeys(carry + forwarded)}
     slices = [[] for _ in tables]  # slice r of table ti at slices[ti][r - 1]
@@ -268,11 +267,13 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
 
 def check_lin_packing(geom: CellGeometry) -> None:
     """Refuse a lin geometry whose stored-bit columns do not pack: each
-    column packs its R = 2^(t d) bits into one float64, so R <= 52.  The
-    rule reads the geometry alone, so it can run before any payload is
-    drawn."""
-    if geom.kind == "lin":
-        check_digit_budget(2 ** (geom.t * geom.d), "lin decoder packing")
+    column packs its R = 2^(t d) bits into one float64, so R <= 52, that
+    is t d <= 5.  The rule reads the geometry alone, so it can run before
+    any payload is drawn, and it compares the exponent: the refusal names
+    R as the power ``2^(t d)`` and never forms it."""
+    if geom.kind == "lin" and geom.t * geom.d > 5:
+        raise PrecisionError(f"lin decoder packing needs 2^{geom.t * geom.d} binary digits, "
+                             "more than a float64 significand holds (52)")
 
 
 def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],

@@ -13,23 +13,23 @@ as an affine function of those products.  The sup error is at most ``1/S``.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from ..errors import InvalidInputError
-from ..networks import NetworkKind
+from ..networks import Architecture, NetworkKind
 from ..radix import check_digit_budget, radix_products
 from .bits import grow_radix_readouts
 from .built import BuiltNetwork, Construction, Guarantee
 from .dsl import NetBuilder
 
-__all__ = ["square_approximator"]
+__all__ = ["square_approximator", "square_architecture"]
 
 
-def square_approximator(L: int, p1: int, skips) -> BuiltNetwork:
-    """Network of depth L computing ``(xt + 1/(2S))^2``; skips = (s_2..s_L).
-
-    The last skip budget must be zero: the product layer has no input taps.
-    Width vector is exactly ``(1, p_1, p_1+s_2, ..., p_1 + sum s_l,
-    B(B+1)/2, 1)`` with ``B = p_1 + s_2 + ... + s_{L-1}``.
-    """
+def square_architecture(L: int, p1: int, skips) -> Architecture:
+    """The architecture ``square_approximator(L, p1, skips)`` builds, from
+    its arguments alone (refused as it refuses them): widths ``(1, p_1,
+    p_1+s_2, ..., p_1 + sum s_l, B(B+1)/2, 1)`` with ``B = p_1 + s_2 + ... +
+    s_{L-1}``, and skip budgets ``(s_2, ..., s_L)``."""
     skips = tuple(int(s) for s in skips)
     if L < 2 or p1 < 1:
         raise InvalidInputError("square approximator needs L >= 2 and p1 >= 1")
@@ -39,6 +39,18 @@ def square_approximator(L: int, p1: int, skips) -> BuiltNetwork:
         raise InvalidInputError("square approximator requires s_L = 0")
     if any(s < 0 for s in skips):
         raise InvalidInputError("skip budgets must be non-negative")
+    digit_widths = list(accumulate(skips[:-1], initial=p1))
+    B = digit_widths[-1]
+    return Architecture(NetworkKind.SKIP, (1, *digit_widths, B * (B + 1) // 2, 1), skips)
+
+
+def square_approximator(L: int, p1: int, skips) -> BuiltNetwork:
+    """Network of depth L computing ``(xt + 1/(2S))^2``; skips = (s_2..s_L).
+
+    The last skip budget must be zero: the product layer has no input taps.
+    The architecture is ``square_architecture(L, p1, skips)``.
+    """
+    skips = square_architecture(L, p1, skips).skip_counts
 
     radix = (p1 + 1, *(s + 1 for s in skips[:-1]))
     prods = radix_products(radix)

@@ -42,9 +42,10 @@ from .analysis.bounds import MAX_DEPTH, MAX_WIDTH
 from .analysis.sup import TOTAL_POINT_CAP, axis_grid, check_grid_size, grid_blocks
 from .builders import BitTable, CellGeometry
 from .builders.decoders import check_lin_packing
+from .builders.square import square_architecture
 from .errors import InvalidInputError, InvalidNetworkError, ResourceLimitError
 from .networks import Architecture, NetworkKind, evaluate_batch
-from .serialize import from_document, to_document
+from .serialize import check_document_size, from_document, to_document
 from .targets import TARGETS
 
 USAGE_ERROR, VERIFY_ERROR = 2, 1
@@ -143,6 +144,13 @@ def _make_bits(args):
     if not args.radix:
         raise InvalidInputError("build bits --kind skip needs --radix")
     return builders.mixed_radix_bit_extractor(_csv_ints(args.radix))
+
+
+def _make_square(args):
+    skips = _csv_ints(args.skips)
+    # the stated architecture, refused before the first neuron
+    check_document_size(square_architecture(args.L, args.p1, skips))
+    return builders.square_approximator(args.L, args.p1, skips)
 
 
 def _make_decoder(args):
@@ -331,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--p1", type=int, required=True)
     p.add_argument("--skips", required=True, help="s_2..s_L, last must be 0")
-    p.set_defaults(make=lambda a: builders.square_approximator(a.L, a.p1, _csv_ints(a.skips)))
+    p.set_defaults(make=_make_square)
     p = bs.add_parser("bits")
     p.add_argument("--kind", choices=["skip", "lin"], default="skip")
     p.add_argument("--radix", help="skip kind: radix vector, e.g. 2,2,2")

@@ -40,7 +40,7 @@ from .builders.built import BuiltNetwork, Construction, Guarantee
 from .errors import ParseError, ResourceLimitError
 from .networks import Architecture, LayerParams, Network, NetworkKind, issparse
 
-__all__ = ["to_document", "from_document"]
+__all__ = ["to_document", "from_document", "check_document_size"]
 
 _KIND_TAGS = {k.value: k for k in NetworkKind}
 
@@ -81,17 +81,25 @@ def _network_payload(net: Network) -> dict:
     return doc
 
 
-def to_document(net: Network | BuiltNetwork) -> str:
-    """Serialize a network (or built network) to its JSON document.
-
-    Raises ``ResourceLimitError`` when the network has more than
-    ``MAX_DOCUMENT_PARAMS`` dense-equivalent parameters.
-    """
-    params = (net.net if isinstance(net, BuiltNetwork) else net).arch.param_count()
+def check_document_size(arch: Architecture) -> None:
+    """Refuse, with ``ResourceLimitError``, an architecture with more than
+    ``MAX_DOCUMENT_PARAMS`` dense-equivalent parameters.  It reads the
+    architecture alone, so a maker that knows it can refuse before
+    anything is built."""
+    params = arch.param_count()
     if params > MAX_DOCUMENT_PARAMS:
         raise ResourceLimitError(
             f"network has {params} dense-equivalent parameters; documents are capped "
             f"at {MAX_DOCUMENT_PARAMS}")
+
+
+def to_document(net: Network | BuiltNetwork) -> str:
+    """Serialize a network (or built network) to its JSON document.
+
+    Raises ``ResourceLimitError`` when ``check_document_size`` refuses the
+    network's architecture.
+    """
+    check_document_size((net.net if isinstance(net, BuiltNetwork) else net).arch)
     if isinstance(net, BuiltNetwork):
         doc = _network_payload(net.net)
         meta: dict = {"construction": {"name": net.construction.name,

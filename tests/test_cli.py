@@ -581,9 +581,38 @@ def test_lin_decoder_packing_is_refused_before_the_payload_is_drawn(capsys):
         tracemalloc.stop()
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("error: lin decoder packing needs 4096 binary digits, "
+    assert captured.err == ("error: lin decoder packing needs 2^12 binary digits, "
                             "more than a float64 significand holds (52)\n")
     assert peak < 10 * 2**20
+
+
+def test_lin_decoder_packing_compares_the_exponent(capsys):
+    # 2^15000 has more decimal digits than Python prints from an int
+    code = run(["build", "decoder", "--kind", "lin", "--m", "0", "--n", "0", "--t", "15000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: lin decoder packing needs 2^15000 binary digits, "
+                            "more than a float64 significand holds (52)\n")
+    assert "Exceeds the limit" not in captured.err
+
+
+def test_oversized_square_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # B(B+1)/2 = 50 005 000 AND neurons in the product layer
+    import time
+
+    def never(*args, **kwargs):
+        raise AssertionError("square_approximator called")
+
+    monkeypatch.setattr(builders, "square_approximator", never)
+    out = tmp_path / "sq.json"
+    t0 = time.perf_counter()
+    code = run(["build", "square", "--L", "2", "--p1", "10000", "--skips", "0", "-o", str(out)])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: network has 500150030001 dense-equivalent parameters; "
+                            "documents are capped at 4194304\n")
+    assert not out.exists()
 
 
 def test_a_radix_past_int_to_str_limits_names_the_digit_budget(capsys):

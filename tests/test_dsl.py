@@ -1,8 +1,10 @@
-"""NetBuilder: the AND/OR gates, one storage rule per matrix, and no tap
-matrix without taps."""
+"""NetBuilder: the AND/OR gates, one storage rule per matrix, no tap
+matrix without taps, the slot order, and the memory a build peaks at."""
 
 import itertools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,10 +151,21 @@ ASSEMBLY_REFUSALS = {
                          "input coordinate 3 out of range"),
     "identity on skip": (SKIP, lambda nb: (nb.new_layer(), nb.linear({0: 1.0})),
                          "identity neurons need the lin kind"),
+    "first bad input named": (PLAIN, lambda nb: (nb.new_layer(),
+                                                nb.step({1: 1.0, 4: 1.0, -3: 1.0})),
+                              "input coordinate 4 out of range"),
+    "negative tap": (SKIP, lambda nb: nb.step({_grow(nb, 2)[0]: 1.0}, inp={0: 1.0, -1: 1.0}),
+                     "input coordinate -1 out of range"),
+    "same-layer handle": (PLAIN, lambda nb: nb.step({_grow(nb, 2)[1]: 1.0}),
+                          "neuron references a non-adjacent handle"),
+    "unknown handle": (PLAIN, lambda nb: nb.step({_grow(nb, 2)[0]: 1.0, 99: 1.0}),
+                       "neuron references a non-adjacent handle"),
     "output lengths": (PLAIN, lambda nb: nb.output([{_grow(nb, 1)[0]: 1.0}], [0.0, 0.0]),
                        "output rows and bias lengths differ"),
     "output not last": (PLAIN, lambda nb: nb.output([{_grow(nb, 2)[0]: 1.0}], [0.0]),
                         "output references a non-last-layer handle"),
+    "output unknown": (PLAIN, lambda nb: nb.output([{}, {_grow(nb, 2)[1] + 1: 1.0}], [0.0, 0.0]),
+                       "output references a non-last-layer handle"),
     "no output": (PLAIN, lambda nb: (_grow(nb, 1), nb.build()), "output layer not set"),
     "no hidden layer": (PLAIN, lambda nb: (nb.output([{}], [0.0]), nb.build()),
                         "network needs at least one hidden layer"),
@@ -175,3 +188,49 @@ def test_each_assembly_refusal_names_its_rule(case):
     with pytest.raises(InvalidInputError) as err:
         steps(NetBuilder(2, kind))
     assert str(err.value) == message
+
+
+def test_identity_neurons_take_the_slots_after_the_step_neurons():
+    # a lin layer adding step and identity neurons in turn: steps keep
+    # their order in slots 0..2, identities theirs in 3..4, and position(),
+    # the probes and the matrices all read the same slots
+    nb = NetBuilder(1, LIN)
+    nb.new_layer()
+    x = nb.step({0: 1.0}, bias=-0.5)
+    nb.new_layer()
+    added = [nb.step({x: 1.0}, bias=-1.0), nb.linear({x: 2.0}, bias=-2.0),
+             nb.step({x: 3.0}, bias=-3.0), nb.linear({x: 4.0}, bias=-4.0),
+             nb.step({x: 5.0}, bias=-5.0)]
+    for i, h in enumerate(added):
+        nb.tag(f"n{i}", h)
+    nb.new_layer()
+    top = nb.step({h: 10.0 * (i + 1) for i, h in enumerate(added)})
+    nb.output([{top: 1.0}], [0.0])
+    net, probes = nb.build()
+    slots = [0, 3, 1, 4, 2]
+    assert net.arch.widths == (1, 1, 3, 1, 1) and net.arch.lin_count == 2
+    assert [nb.position(h) for h in added] == [(1, s) for s in slots]
+    assert [probes[f"n{i}"] for i in range(5)] == [(2, s) for s in slots]
+    W1, b1, W2 = np.asarray(net.layers[1].W), net.layers[1].b, np.asarray(net.layers[2].W)
+    for i, s in enumerate(slots):
+        assert W1[s].tolist() == [float(i + 1), 0.0, 0.0]  # x, then two padding rows
+        assert b1[s] == float(i + 1)  # stages compute W h - b
+        assert W2[0, s] == 10.0 * (i + 1)
+    # the first layer's two padding rows: zero weights, and -0.0 bias
+    assert np.asarray(net.layers[0].W).tolist() == [[1.0], [0.0], [0.0]]
+    assert [math.copysign(1.0, v) for v in net.layers[0].b] == [1.0, -1.0, -1.0]
+
+
+def test_a_mid_size_build_peaks_under_200_bytes_per_stored_nonzero():
+    # the skip decoder at m = 8: 37 887 nonzeros; the build peaks near 100
+    # bytes per nonzero, and near 215 when each neuron held its own dicts
+    table = _table("skip", 8, 0)
+    tracemalloc.start()
+    try:
+        net = decoder("skip", table).net
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nonzeros = sum(M.count_nonzero() if sp.issparse(M) else np.count_nonzero(M)
+                   for layer in net.layers for M in (layer.W, layer.V) if M is not None)
+    assert peak <= 200 * nonzeros, (peak, nonzeros)

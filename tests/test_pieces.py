@@ -285,6 +285,19 @@ def test_pattern_keys_equal_exactly_when_rows_do():
         assert (key[i] == key[j]).tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("points", [1, 2, 33, 255])
+def test_pattern_keys_are_the_packbits_bytes(points):
+    # the reference packs a transposed bool copy of the pattern; the sizes
+    # fall on both sides of SHIFT_PACK_MIN_ENTRIES
+    rng = np.random.default_rng(points)
+    for width in range(1, 71):
+        pat = rng.integers(0, 2, (width, points)).astype(float)
+        want = np.packbits(pat.T.astype(bool, order="C"), axis=1)
+        key = _pattern_keys(pat)
+        assert key.dtype == np.dtype(f"V{want.shape[1]}")
+        assert key.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("x1, x2", [([math.nan], [1.0]), ([0.0], [math.inf]),
                                     ([1e308], [-1e308])])
 def test_segment_must_be_finite(x1, x2):

@@ -6,6 +6,7 @@ import pytest
 from heavinet import (InvalidInputError, PrecisionError, evaluate, evaluate_batch,
                       mixed_radix_digits, validate)
 from heavinet.builders import square_approximator
+from heavinet.builders.square import square_architecture
 from heavinet.radix import radix_products
 
 
@@ -77,3 +78,24 @@ def test_squared_digit_grid_past_the_significand_rejected(L, p1, skips):
     # S = 2^26 + 1 and (2^13 + 1)^2: S^2 needs 53 binary digits
     with pytest.raises(PrecisionError, match="53 binary digits"):
         square_approximator(L, p1, skips)
+
+
+# every square geometry the tests build
+GEOMETRIES = sorted({(L, s, (s,) * (L - 2) + (0,)) for L in (2, 3, 4, 5) for s in (1, 2, 3)}
+                    | {(2, 1, (0,)), (3, 1, (1, 0)), (3, 2, (2, 0)), (4, 1, (1, 1, 0)),
+                       (4, 2, (1, 3, 0)), (4, 2, (2, 2, 0)), (5, 2, (2, 2, 2, 0))})
+
+
+@pytest.mark.parametrize("L, p1, skips", GEOMETRIES)
+def test_stated_architecture_is_the_built_one(L, p1, skips):
+    assert square_architecture(L, p1, skips) == square_approximator(L, p1, skips).net.arch
+
+
+@pytest.mark.parametrize("L, p1, skips", [(3, 1, (1, 1)), (1, 1, ()), (2, 0, (0,)),
+                                          (3, 1, (0,)), (3, 1, (-1, 0))])
+def test_stated_architecture_refuses_what_the_builder_refuses(L, p1, skips):
+    with pytest.raises(InvalidInputError) as stated:
+        square_architecture(L, p1, skips)
+    with pytest.raises(InvalidInputError) as built:
+        square_approximator(L, p1, skips)
+    assert str(stated.value) == str(built.value)
