@@ -2,7 +2,10 @@
 
 It covers the construction documents of every ``build`` sub-command, run
 through ``heavinet.cli.run`` over the ``tests/netgen.py`` specs and the
-``documents`` benchmark specs with fixed payload seeds; the
+``documents`` benchmark specs with fixed payload seeds; the network each
+of those documents parses to (``network.*``: per matrix its storage, shape
+and bytes, and every bias), so a change of encoding that keeps the parsed
+networks bit for bit shows as changed ``build.*`` lines only; the
 ``shatter_template`` arrays; the ``shatter`` certificates of four
 geometries; and ``cli.flags``, a canonical dump of every leaf sub-parser's
 options.  Builders do no BLAS arithmetic, so these hashes hold on any
@@ -115,6 +118,35 @@ def _template_bytes(kind: str, m: int, n: int, t: int) -> bytes:
     return b"\0".join(parts)
 
 
+def _matrix_bytes(M) -> bytes:
+    """A matrix's storage, shape, value type and stored bytes: CSR as its
+    ``indptr``, ``indices`` and ``data``, a dense array as its row-major
+    values.  Index arrays are widened to int64, whichever width scipy
+    chose."""
+    if hasattr(M, "indptr"):
+        head = f"csr{M.shape}{M.data.dtype.str}"
+        parts = [np.ascontiguousarray(M.indptr, dtype="<i8"),
+                 np.ascontiguousarray(M.indices, dtype="<i8"),
+                 np.ascontiguousarray(M.data, dtype="<f8")]
+    else:
+        head = f"dense{M.shape}{M.dtype.str}"
+        parts = [np.ascontiguousarray(M, dtype="<f8")]
+    return head.encode() + b"\0".join(a.tobytes() for a in parts)
+
+
+def _network_bytes(doc: bytes) -> bytes:
+    """The canonical form of the network a document parses to: per layer
+    ``W``, ``b`` and ``V`` (or ``-``)."""
+    from heavinet.serialize import from_document
+
+    parts = []
+    for layer in from_document(doc.decode()).net.layers:
+        parts += [_matrix_bytes(layer.W),
+                  np.ascontiguousarray(layer.b, dtype="<f8").tobytes(),
+                  b"-" if layer.V is None else _matrix_bytes(layer.V)]
+    return b"\0".join(parts)
+
+
 def _describe(parser: argparse.ArgumentParser) -> dict:
     options = [{"options": a.option_strings, "dest": a.dest, "default": a.default,
                 "choices": None if a.choices is None else list(a.choices),
@@ -147,8 +179,11 @@ def flags_dump() -> bytes:
 
 def outputs():
     """Yield ``(name, bytes)`` for every manifest line, in manifest order."""
-    for name, argv in build_specs().items():
-        yield f"build.{name}", _cli(["build", *argv])
+    docs = {name: _cli(["build", *argv]) for name, argv in build_specs().items()}
+    for name, doc in docs.items():
+        yield f"build.{name}", doc
+    for name, doc in docs.items():
+        yield f"network.{name}", _network_bytes(doc)
     for kind, m, n, t in TEMPLATES:
         yield f"template.{kind}-{m}{n}{t}", _template_bytes(kind, m, n, t)
     for kind, m, n, t in CERTIFICATES:
