@@ -202,7 +202,8 @@ def _decode_slice(nb: NetBuilder, geom: CellGeometry, payload: np.ndarray, r: in
     yield
     eta = []
     for k in range(K):
-        eta.append(nb.any_of([hj for j, hj in enumerate(jind) if payload[j, k, r - 1]]))
+        # one read of the stored-bit column, not one numpy scalar per j
+        eta.append(nb.any_of([jind[j] for j in np.flatnonzero(payload[:, k, r - 1]).tolist()]))
         if sites is not None:
             sites.extend((eta[-1], hj, first_cell + (j * K + k) * R + r - 1, 1.0)
                          for j, hj in enumerate(jind))

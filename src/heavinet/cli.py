@@ -212,19 +212,21 @@ def _cmd_pieces(args) -> int:
 
 def _square_cases(args):
     """``sweep square``: per (L, s), the labels, the approximator, its
-    target x^2 and its cell edges."""
-    for L in _range(args.L):
-        for s in _range(args.s):
-            # the approximator's cells have edges k/S, S = (s+1)^(L-1); they
-            # join the grid when S <= 100 000 (17 factors of at least 2
-            # exceed that), and the grid is checked before the build
-            S = (s + 1) ** min(L - 1, 17) if L >= 2 and s >= 1 else 0
-            extra = [k / S for k in range(S + 1)] if 0 < S <= 100_000 else []
-            # merging the edges into the axis can only shrink it
-            if args.grid + 1 + len(extra) > TOTAL_POINT_CAP:
-                check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
-            built = builders.square_approximator(L, s, (s,) * (L - 2) + (0,))
-            yield (L, s), built, TARGETS["x2"].value, extra
+    target x^2 and its cell edges.  Every approximator's stated
+    architecture meets the document cap before the first is built."""
+    cases = [(L, s, (s,) * (L - 2) + (0,)) for L in _range(args.L) for s in _range(args.s)]
+    for L, s, skips in cases:
+        check_document_size(square_architecture(L, s, skips))
+    for L, s, skips in cases:
+        # the approximator's cells have edges k/S, S = (s+1)^(L-1); they
+        # join the grid when S <= 100 000 (17 factors of at least 2 exceed
+        # that), and the grid is checked before the build
+        S = (s + 1) ** min(L - 1, 17)
+        extra = [k / S for k in range(S + 1)] if S <= 100_000 else []
+        # merging the edges into the axis can only shrink it
+        if args.grid + 1 + len(extra) > TOTAL_POINT_CAP:
+            check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
+        yield (L, s), builders.square_approximator(L, s, skips), TARGETS["x2"].value, extra
 
 
 def _holder_cases(args):

@@ -6,33 +6,43 @@ ordered list of ``{"W": matrix, "b": vector, "V": optional matrix}``.  A
 built network adds a ``meta`` block with the guarantee, the probe map, and
 the construction record.
 
-A matrix is written the way it is stored: a ``scipy.sparse`` matrix as
-``{"shape": [r, c], "rows": [...], "cols": [...], "values": [...]}``, its
-stored entries in strictly increasing row-major order, and a dense one as a
-list of rows.  Reading gives a CSR matrix for the first and an ndarray for
-the second, so a parsed network keeps the storage of the one written and
-evaluates on the same code path; documents whose matrices are all dense
-stay readable.  Numbers are written in full round-trip decimal precision,
-so a round trip is bit-exact on every parameter and re-serializing a parsed
-document gives the same bytes.  The JSON carries no indentation.
+A matrix is written as coordinates or as a list of rows.  A
+``scipy.sparse`` matrix is written as ``{"shape": [r, c], "rows": [...],
+"cols": [...], "values": [...]}``, its stored entries in strictly
+increasing row-major order.  A dense one is written the same way with the
+tag ``"dense": true`` when that saves at least ``COORDINATE_MIN_SAVING``
+(256) numbers over its rows, that is when ``r * c - 3 * entries >= 256``,
+its entries being those whose bit pattern is not ``+0.0`` (so ``-0.0``
+stays), and as a list of rows otherwise.  The builders' long chains of
+nearly empty stages, too small to be stored sparse, so shrink on disk
+without a change of storage.  Reading gives a CSR matrix for untagged
+coordinates, an ndarray for tagged ones (without importing
+``scipy.sparse``) and for rows, so a parsed network keeps the storage of
+the one written, bit for bit, and evaluates on the same code path;
+documents whose matrices are all rows stay readable.  Numbers are written
+in full round-trip decimal precision, so a round trip is bit-exact on
+every parameter and re-serializing a parsed document gives the same
+bytes.  The JSON carries no indentation.
 
 A document may hold at most ``MAX_DOCUMENT_PARAMS`` parameters of the
 dense-equivalent architecture, sparse layers included; bigger networks are
 refused before anything is written.
 
 Reading checks only the format: the kind tag, integer lists, rows of
-equal length holding numbers, sparse coordinates inside their declared
-shape and in order, numbers a float64 can hold, and the types of the meta
-block.  A ``ParseError`` means the text is not a network document.  The
-rules of the network classes, shapes, budgets, finite parameters and probe
-positions included, are judged by constructing the ``Network`` and
-``BuiltNetwork``, so a well-formed document of an invalid network raises
-``InvalidNetworkError`` with every violation.
+equal length holding numbers, coordinates inside their declared shape and
+in order, a ``dense`` tag that is ``true`` where present, numbers a
+float64 can hold, and the types of the meta block.  A ``ParseError`` means
+the text is not a network document.  The rules of the network classes,
+shapes, budgets, finite parameters and probe positions included, are
+judged by constructing the ``Network`` and ``BuiltNetwork``, so a
+well-formed document of an invalid network raises ``InvalidNetworkError``
+with every violation.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -48,11 +58,25 @@ _KIND_TAGS = {k.value: k for k in NetworkKind}
 # shape: a dense document this big is about 40 MB of JSON
 MAX_DOCUMENT_PARAMS = 1 << 22
 
+# numbers a dense matrix's coordinates must save over its rows (each entry
+# costs three) for it to be written as coordinates
+COORDINATE_MIN_SAVING = 256
+
 
 def _matrix_entry(M) -> list | dict:
-    """A sparse matrix as its sorted coordinates, a dense one as rows."""
+    """A sparse matrix as its sorted coordinates; a dense one as tagged
+    coordinates when they save ``COORDINATE_MIN_SAVING`` numbers, else as
+    rows."""
     if not issparse(M):
-        return np.asarray(M, dtype=float).tolist()
+        A = np.asarray(M, dtype=float)
+        if A.size >= COORDINATE_MIN_SAVING:
+            # +0.0 is the one all-zero bit pattern: -0.0 is an entry
+            bits = np.ascontiguousarray(A).view(np.uint64)
+            if A.size - 3 * np.count_nonzero(bits) >= COORDINATE_MIN_SAVING:
+                rows, cols = np.nonzero(bits)
+                return {"shape": list(A.shape), "dense": True, "rows": rows.tolist(),
+                        "cols": cols.tolist(), "values": A[rows, cols].tolist()}
+        return A.tolist()
     csr = M.tocsr(copy=True)
     csr.sum_duplicates()  # sorts the copy in place; the layer stays as it is
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
@@ -146,13 +170,16 @@ def _indices(obj, bound: int, path: str) -> np.ndarray:
         idx = np.array(obj, dtype=np.int64)
     except OverflowError:
         idx = None
-    _expect(idx is not None and bool(np.all((idx >= 0) & (idx < bound))), path,
+    _expect(idx is not None and bool(((idx >= 0) & (idx < bound)).all()), path,
             f"expected indices in [0, {bound})")
     return idx
 
 
-def _sparse(obj: dict, path: str):
-    """A ``{shape, rows, cols, values}`` entry as a CSR matrix."""
+def _coordinates(obj: dict, path: str):
+    """A ``{shape, rows, cols, values}`` entry as a CSR matrix, or as a 2-D
+    float array when tagged ``"dense": true``."""
+    dense = "dense" in obj
+    _expect(not dense or obj["dense"] is True, f"{path}.dense", "expected true or no tag")
     shape = obj.get("shape")
     _expect(_ints(shape) and len(shape) == 2 and min(shape) >= 0
             and shape[0] * shape[1] <= MAX_DOCUMENT_PARAMS, f"{path}.shape",
@@ -165,9 +192,13 @@ def _sparse(obj: dict, path: str):
     _expect(len(rows) == len(cols) == len(values), path,
             "rows, cols and values differ in length")
     key = rows * n_cols + cols
-    _expect(bool(np.all(key[1:] > key[:-1])), path,
+    _expect(bool((key[1:] > key[:-1]).all()), path,
             "coordinates repeated or out of row-major order")
     data = _floats(values, f"{path}.values")
+    if dense:
+        M = np.zeros((n_rows, n_cols))
+        M[rows, cols] = data
+        return M
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
     import scipy.sparse as sp
@@ -175,15 +206,21 @@ def _sparse(obj: dict, path: str):
 
 
 def _matrix(obj, path: str):
-    """A sparse entry as CSR, or a list of equally long rows of numbers as a
-    2-D float array."""
+    """A coordinate entry as CSR or a 2-D float array, or a list of equally
+    long rows of numbers as a 2-D float array."""
     if isinstance(obj, dict):
-        return _sparse(obj, path)
-    _expect(isinstance(obj, list) and all(isinstance(row, list) for row in obj), path,
+        return _coordinates(obj, path)
+    _expect(isinstance(obj, list) and set(map(type, obj)) <= {list}, path,
             "expected a list of rows or a {shape, rows, cols, values} object")
     cols = len(obj[0]) if obj else 0
-    for r, row in enumerate(obj):
-        _expect(len(row) == cols and _numbers(row), f"{path}[{r}]", f"expected {cols} numbers")
+    # one check of the row lengths and one of the entry types per matrix;
+    # only a failing matrix is searched for its first bad row
+    lengths = set(map(len, obj))
+    types = set(map(type, chain.from_iterable(obj)))
+    if not (lengths <= {cols} and types <= _NUMBER_TYPES):
+        for r, row in enumerate(obj):
+            _expect(len(row) == cols and _numbers(row), f"{path}[{r}]",
+                    f"expected {cols} numbers")
     return _floats(obj, path).reshape(len(obj), cols)
 
 

@@ -615,6 +615,19 @@ def test_oversized_square_is_refused_before_it_is_built(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_sweep_refuses_an_oversized_square_before_any_build(capsys, monkeypatch):
+    # s = 1 is small, but s = 10 000 is checked before it is built
+    def never(*args, **kwargs):
+        raise AssertionError("square_approximator called")
+
+    monkeypatch.setattr(builders, "square_approximator", never)
+    code = run(["sweep", "square", "--L", "2", "--s", "1,10000", "--grid", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: network has 500150030001 dense-equivalent parameters; "
+                            "documents are capped at 4194304\n")
+
+
 def test_a_radix_past_int_to_str_limits_names_the_digit_budget(capsys):
     code = run(["build", "bits", "--radix", ",".join(["2"] * 20_000)])
     captured = capsys.readouterr()

@@ -33,8 +33,13 @@ ok("build", "square", "--L", "3", "--p1", "1", "--skips", "1,0", "-o", "square.j
 ok("build", "rect", "--a", "0,0.25", "--b", "0.5,1", "-o", "rect.json")
 ok("build", "bits", "--radix", "2,3,2", "-o", "bits.json")
 ok("build", "bits", "--kind", "lin", "--L", "4", "-o", "lin.json")
-for doc in ("square.json", "rect.json", "bits.json", "lin.json"):
+# dense stages written as coordinates, read back as arrays
+ok("build", "bits", "--radix", "16,8,4,4", "-o", "tagged.json")
+with open("tagged.json") as fh:
+    print('"dense": true' in fh.read())
+for doc in ("square.json", "rect.json", "bits.json", "lin.json", "tagged.json"):
     ok("validate", doc)
+ok("pieces", "tagged.json", "--from", "0", "--to", "1", "-o", "tagged-pieces.json")
 ok("eval", "square.json", "--grid", "1000", "-o", "eval.csv")
 ok("pieces", "square.json", "--from", "0", "--to", "1", "-o", "exact.json")
 ok("pieces", "bits.json", "--from", "0", "--to", "1", "--sampled", "1000", "-o", "count.csv")
@@ -45,6 +50,7 @@ print("scipy.sparse" in sys.modules)
 def test_dense_runs_never_load_scipy_sparse(tmp_path):
     lines = _fresh(DENSE_RUN, tmp_path)
     assert lines[0] == "False"  # importing heavinet and its CLI
+    assert lines[1] == "True"  # tagged.json holds dense-tagged coordinates
     assert lines[-1] == "False"  # after every run
 
 

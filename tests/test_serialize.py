@@ -125,6 +125,10 @@ ROUND_TRIPS = {
                          False),
     "dense square": (lambda: square_approximator(4, 2, (2, 2, 0)), False),
     "lin bits": (lambda: binary_bit_extractor_lin(8, "wide"), False),
+    # 174 narrow, nearly empty stages: most of them written as dense-tagged
+    # coordinates
+    "lin holder": (lambda: holder_approximator("lin", TARGETS["x3mx"].holder_config(1, 0, 1)),
+                   True),
 }
 
 
@@ -142,6 +146,58 @@ def test_round_trip_keeps_storage_values_and_bytes(case):
     assert np.array_equal(evaluate_batch(loaded.net, X), evaluate_batch(built.net, X))
     assert to_document(loaded) == text
     assert text == json.dumps(json.loads(text))  # no indentation
+
+
+def test_lin_holder_writes_dense_stages_as_coordinates():
+    built = ROUND_TRIPS["lin holder"][0]()
+    doc = json.loads(to_document(built))
+    tagged = [(layer.W, entry["W"]) for layer, entry in zip(built.net.layers, doc["layers"])
+              if isinstance(entry["W"], dict) and entry["W"].get("dense") is True]
+    assert tagged
+    for W, entry in tagged:
+        assert not sp.issparse(W)
+        assert W.size - 3 * len(entry["values"]) >= 256
+
+
+def _dense_net(W0):
+    """A two-layer plain network with the dense first stage ``W0``."""
+    rows, cols = W0.shape
+    return Network(Architecture(NetworkKind.PLAIN, (cols, rows, 1)),
+                   (LayerParams(W0, np.zeros(rows)),
+                    LayerParams(np.ones((1, rows)), np.array([0.5]))))
+
+
+def test_negative_zero_in_dense_coordinates_round_trips_bit_for_bit():
+    W0 = np.zeros((20, 20))
+    W0[0, 0], W0[3, 7], W0[19, 19] = 1.5, -0.0, -2.0
+    net = _dense_net(W0)
+    text = to_document(net)
+    entry = json.loads(text)["layers"][0]["W"]
+    assert entry == {"shape": [20, 20], "dense": True, "rows": [0, 3, 19],
+                     "cols": [0, 7, 19], "values": [1.5, -0.0, -2.0]}
+    loaded = from_document(text)
+    assert isinstance(loaded.layers[0].W, np.ndarray)
+    assert loaded.layers[0].W.tobytes() == W0.tobytes()
+    assert to_document(loaded) == text
+
+
+def test_dense_matrix_is_written_as_coordinates_only_past_the_saving():
+    # 16 x 16 = 256 numbers: only an empty one saves 256 as coordinates
+    empty, one = np.zeros((16, 16)), np.zeros((16, 16))
+    one[2, 3] = 1.0
+    assert json.loads(to_document(_dense_net(empty)))["layers"][0]["W"]["rows"] == []
+    assert json.loads(to_document(_dense_net(one)))["layers"][0]["W"] == one.tolist()
+
+
+def test_hand_written_rows_of_a_coordinate_matrix_still_read():
+    W0 = np.zeros((20, 20))
+    W0[4, 5] = 0.25
+    net = _dense_net(W0)
+    doc = json.loads(to_document(net))
+    doc["layers"][0]["W"] = W0.tolist()
+    loaded = from_document(json.dumps(doc))
+    assert loaded.layers[0].W.tobytes() == W0.tobytes()
+    assert to_document(loaded) == to_document(net)
 
 
 def _densify(entry):
@@ -209,6 +265,12 @@ MALFORMED_SPARSE = {
     "missing cols": (lambda W: W.pop("cols"), W0 + ".cols"),
     "string value": (_set("values", 0, "1"), W0 + ".values"),
     "value past float64": (_set("values", 2, 10 ** 400), W0 + ".values"),
+    "dense tag 1": (lambda W: W.update(dense=1), W0 + ".dense"),
+    "dense tag false": (lambda W: W.update(dense=False), W0 + ".dense"),
+    "dense repeated coordinate": (lambda W: (W.update(dense=True), _repeat_first(W)), W0),
+    "dense unsorted coordinates": (lambda W: (W.update(dense=True), _swap_first_two(W)), W0),
+    "dense row outside shape": (lambda W: (W.update(dense=True), _set("rows", 3, 3)(W)),
+                                W0 + ".rows"),
 }
 
 
@@ -243,3 +305,15 @@ def test_integer_past_float64_is_a_parse_error(where, path):
     with pytest.raises(ParseError) as err:
         from_document(json.dumps(doc))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("breaks", [
+    lambda row: row.__setitem__(1, True),
+    lambda row: row.__setitem__(0, "1"),
+], ids=["bool", "string"])
+def test_bad_dense_row_is_named(breaks):
+    doc = _sparse_doc()
+    breaks(doc["layers"][1]["W"][0])
+    with pytest.raises(ParseError) as err:
+        from_document(json.dumps(doc))
+    assert err.value.path == "$.layers[1].W[0]"
