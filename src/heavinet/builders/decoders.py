@@ -8,11 +8,15 @@ the skip family the groups are levels ``1..m`` (index j), ``m+1..2m``
 ``m+t+1..m+n+t`` and ``m+n+t+1..m+n+2t``, giving ``J = 2^((m+t)d)``,
 ``K = 2^(n d)``, ``R = 2^(t d)``.
 
-Index convention (fixed so tests are reproducible): an index is 1 plus the
-integer whose base-2 digits are the group's bits read big-endian in
-lexicographic order over (coordinate, level).  Decoder inputs use the same
-coordinate-major layout: input slot ``i * levels + (l - 1)`` carries digit
-``l`` of coordinate ``i``.
+Index convention (fixed so tests are reproducible), stated once by
+``CellGeometry.group_bits``: an index is 1 plus the integer whose base-2
+digits are the group's bits read big-endian in lexicographic order over
+(coordinate, level).  Decoder inputs use the same coordinate-major layout
+(``CellGeometry.group_slots``): input slot ``i * levels + (l - 1)`` carries
+digit ``l`` of coordinate ``i``.  Payloads run over the cells in (j, k, r)
+order.  Every decoder indicator row, every cell's digits
+(``cell_digits``) and every cell center (``cell_centers``) is derived from
+these two arrays; the indicator rows are computed once per geometry.
 
 Skip decoding runs one slice per r value in four stages: (A) a bank of
 cell-index indicator neurons, (B) a stored-bit row selection (an OR), (C)
@@ -36,6 +40,7 @@ variant's output is the stored bit itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,12 +98,19 @@ class CellGeometry:
         gj, gk, gr = self.group_levels()
         return (2 ** (self.d * len(gj)), 2 ** (self.d * len(gk)), 2 ** (self.d * len(gr)))
 
-    def bit_slot(self, coord: int, level: int) -> int:
-        """Input slot of digit ``level`` of coordinate ``coord`` (0-based coord)."""
-        return coord * self.levels + (level - 1)
+    def group_slots(self, group: int) -> np.ndarray:
+        """Input slots read by index group ``group`` (0, 1, 2 for j, k, r),
+        coordinate-major: slot ``i * levels + (l - 1)`` carries digit ``l``
+        of coordinate ``i``."""
+        levels = np.array(self.group_levels()[group], dtype=int) - 1
+        return (np.arange(self.d)[:, None] * self.levels + levels).ravel()
 
-    def group_slots(self, group: range) -> list[int]:
-        return [self.bit_slot(i, ell) for i in range(self.d) for ell in group]
+    def group_bits(self, group: int) -> np.ndarray:
+        """The index rule: row ``index - 1`` holds the digits that index pins
+        on ``group_slots(group)``, the base-2 digits of ``index - 1`` read
+        big-endian; shape (indices, slots)."""
+        width = self.d * len(self.group_levels()[group])
+        return np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1) & 1
 
     def index_of_bits(self, bits) -> tuple[int, int, int]:
         """(j, k, r) of a digit matrix with shape (d, levels), entries 0/1."""
@@ -112,33 +124,20 @@ class CellGeometry:
             out.append(v + 1)
         return tuple(out)
 
-    def target_bits(self, group: range, index: int) -> list[tuple[int, int]]:
-        """(input slot, expected bit) pairs pinning one group index."""
-        width = self.d * len(group)
-        pattern = [(index - 1) >> (width - 1 - pos) & 1 for pos in range(width)]
-        return list(zip(self.group_slots(group), pattern))
-
-    def cell_bits(self, j: int, k: int, r: int) -> np.ndarray:
-        """Digit matrix (d, levels) shared by every point of cell (j, k, r)."""
-        bits = np.zeros((self.d, self.levels), dtype=int)
-        for group, index in zip(self.group_levels(), (j, k, r)):
-            for slot, beta in self.target_bits(group, index):
-                bits[slot // self.levels, slot % self.levels] = beta
-        return bits
-
-    def cell_center(self, j: int, k: int, r: int) -> np.ndarray:
-        bits = self.cell_bits(j, k, r)
-        lev = self.levels
-        weights = 0.5 ** np.arange(1, lev + 1)
-        return bits @ weights + 0.5 ** (lev + 1)
-
-    def all_cells(self):
-        """Iterate (j, k, r) in payload order."""
+    def cell_digits(self) -> np.ndarray:
+        """Digit matrix (d, levels) shared by the points of each cell, cells
+        in payload order (j, k, r); shape (cells, d, levels)."""
         J, K, R = self.sizes
-        for j in range(1, J + 1):
-            for k in range(1, K + 1):
-                for r in range(1, R + 1):
-                    yield j, k, r
+        digits = np.zeros((J, K, R, self.d * self.levels), dtype=int)
+        digits[..., self.group_slots(0)] = self.group_bits(0)[:, None, None]
+        digits[..., self.group_slots(1)] = self.group_bits(1)[:, None]
+        digits[..., self.group_slots(2)] = self.group_bits(2)
+        return digits.reshape(J * K * R, self.d, self.levels)
+
+    def cell_centers(self) -> np.ndarray:
+        """Center of each cell in payload order; shape (cells, d)."""
+        lev = self.levels
+        return self.cell_digits() @ 0.5 ** np.arange(1, lev + 1) + 0.5 ** (lev + 1)
 
 
 @dataclass(frozen=True)
@@ -150,13 +149,13 @@ class BitTable:
 
     def __post_init__(self):
         J, K, R = self.geometry.sizes
-        payload = np.asarray(self.payload, dtype=int)
+        payload = np.asarray(self.payload)
         if payload.shape != (J, K, R):
             raise InvalidInputError(
                 f"payload shape {payload.shape} does not match cells {(J, K, R)}")
         if not np.all((payload == 0) | (payload == 1)):
             raise InvalidInputError("payload entries must be 0 or 1")
-        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "payload", np.asarray(payload, dtype=int))
 
     def lookup_bits(self, bits) -> int:
         """Reference decode straight from the table."""
@@ -164,20 +163,36 @@ class BitTable:
         return int(self.payload[j - 1, k - 1, r - 1])
 
 
-def _indicator_row(targets: list[tuple[int, int]]) -> tuple[dict[int, float], float]:
-    """Row testing that every (slot, beta) pair matches.
+@lru_cache(maxsize=32)
+def _row_table(geom: CellGeometry) -> tuple:
+    """Per index group, its slots and the indicator row of every index.
 
-    Pre-activation ``sum (2 beta - 1)(2 b - 1) - (|targets| - 1/2)`` expanded
-    over the raw bits; an empty target set leaves the constant +1/2, i.e. a
-    neuron that always fires."""
-    weights = {slot: 2.0 * (2 * beta - 1) for slot, beta in targets}
-    bias = -float(sum(2 * beta - 1 for _, beta in targets)) - len(targets) + 0.5
-    return weights, bias
+    The indicator of the digits ``beta`` pinned on the slots is
+    ``step(sum (2 beta - 1)(2 b - 1) - (width - 1/2))`` expanded over the
+    raw bits b: weights ``2 (2 beta - 1)`` and bias
+    ``1/2 - sum (2 beta - 1) - width``.  A group without slots leaves the
+    constant +1/2, a neuron that always fires.  Two groups' indicators AND
+    into one row: their weights side by side, their biases summed less 1/2.
+    """
+    table = []
+    for group in range(3):
+        signs = 2 * geom.group_bits(group) - 1
+        bias = 0.5 - signs.sum(axis=1) - signs.shape[1]
+        table.append((tuple(geom.group_slots(group).tolist()),
+                      tuple(map(tuple, (2.0 * signs).tolist())), tuple(bias.tolist())))
+    return tuple(table)
+
+
+def _bind_rows(geom: CellGeometry, read) -> list:
+    """``_row_table`` with each group's slots replaced by the handles
+    ``read[slot]``: per group (handles, weights by index, bias by index)."""
+    return [([read[s] for s in slots], w, b) for slots, w, b in _row_table(geom)]
 
 
 def _decode_slice(nb: NetBuilder, geom: CellGeometry, payload: np.ndarray, r: int,
                   bits, taps: bool, sites: list | None = None, first_cell: int = 0):
-    """Decode slice r, one stage per ``next`` into the builder's current layer.
+    """Decode slice r of the (J, K, R) ``payload``, one stage per ``next``
+    into the builder's current layer.
 
     Stage A builds the cell-index indicators from the digit ``bits``
     (handles in the previous layer, or input coordinates read through skip
@@ -188,25 +203,24 @@ def _decode_slice(nb: NetBuilder, geom: CellGeometry, payload: np.ndarray, r: in
     Stage-B sites are reported as in ``grow_skip_decoder_bank``, with cells
     counted from ``first_cell``.
     """
-    gj, gk, gr = geom.group_levels()
-    J, K, R = geom.sizes
+    _, K, R = geom.sizes
+    (hj, wj, bj), (hk, wk, bk), (hr, wr, br) = _bind_rows(geom, bits)
 
-    def ind(group, index):
-        row, bias = _indicator_row(geom.target_bits(group, index))
-        weights = {bits[s]: w for s, w in row.items()}
-        return nb.step({}, bias=bias, inp=weights) if taps else nb.step(weights, bias=bias)
+    def ind(handles, weights, bias):
+        row = dict(zip(handles, weights))
+        return nb.step({}, bias=bias, inp=row) if taps else nb.step(row, bias=bias)
 
-    jind = [ind(gj, j) for j in range(1, J + 1)]
-    khit = [ind(gk, k) for k in range(1, K + 1)]
-    rhit = ind(gr, r)
+    jind = [ind(hj, w, b) for w, b in zip(wj, bj)]
+    khit = [ind(hk, w, b) for w, b in zip(wk, bk)]
+    rhit = ind(hr, wr[r - 1], br[r - 1])
     yield
     eta = []
     for k in range(K):
         # one read of the stored-bit column, not one numpy scalar per j
         eta.append(nb.any_of([jind[j] for j in np.flatnonzero(payload[:, k, r - 1]).tolist()]))
         if sites is not None:
-            sites.extend((eta[-1], hj, first_cell + (j * K + k) * R + r - 1, 1.0)
-                         for j, hj in enumerate(jind))
+            sites.extend((eta[-1], h, first_cell + (j * K + k) * R + r - 1, 1.0)
+                         for j, h in enumerate(jind))
     khit = [nb.forward(h) for h in khit]
     rhit = nb.forward(rhit)
     yield
@@ -216,10 +230,11 @@ def _decode_slice(nb: NetBuilder, geom: CellGeometry, payload: np.ndarray, r: in
     yield nb.step(*out)
 
 
-def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[int],
-                           carry: list[int] = (),
+def grow_skip_decoder_bank(nb: NetBuilder, geom: CellGeometry, payloads: np.ndarray,
+                           bits: list[int], carry: list[int] = (),
                            sites: list | None = None) -> tuple[list[list[int]], list[int]]:
-    """Emit decode slice-stacks for several tables over one shared geometry.
+    """Emit decode slice-stacks for the stacked 0/1 ``payloads`` of shape
+    (tables, J, K, R) over the geometry ``geom``.
 
     ``bits`` are decoder-slot handles in the builder's current last layer;
     binary forwarding replaces the skip taps, so the bank embeds into any
@@ -232,30 +247,26 @@ def grow_skip_decoder_bank(nb: NetBuilder, tables: list[BitTable], bits: list[in
 
     With a ``sites`` list, every weight that depends on the payloads is
     reported once as ``(row handle, column handle, cell, coefficient)``:
-    the weight equals ``coefficient * payload.flat[cell]``, ``cell``
-    indexing the stacked payloads of shape (tables, J, K, R).  These are
+    the weight equals ``coefficient * payloads.flat[cell]``.  These are
     the stage-B rows; everything else is payload-independent.
     """
-    geom = tables[0].geometry
-    if any(t.geometry != geom for t in tables):
-        raise InvalidInputError("bank tables must share one geometry")
     J, K, R = geom.sizes
     carry = list(carry)
     tapped = not nb.depth  # bits are input coordinates
     forwarded = [] if tapped else list(bits)
     cur = {h: h for h in dict.fromkeys(carry + forwarded)}
-    slices = [[] for _ in tables]  # slice r of table ti at slices[ti][r - 1]
-    outs: list[int | None] = [None] * len(tables)  # the latest slice output
-    sums: list[list[int]] = [[] for _ in tables]  # OR of the earlier outputs
+    slices = [[] for _ in payloads]  # slice r of table ti at slices[ti][r - 1]
+    outs: list[int | None] = [None] * len(payloads)  # the latest slice output
+    sums: list[list[int]] = [[] for _ in payloads]  # OR of the earlier outputs
 
     for depth in range(1, R + 4):
         read = bits if tapped or depth > R else [cur[h] for h in bits]
         nb.new_layer()
         cur = {h: nb.forward(cur[h])
                for h in dict.fromkeys(carry + (forwarded if depth <= R - 1 else []))}
-        for ti, table in enumerate(tables):
+        for ti, payload in enumerate(payloads):
             if depth <= R:
-                slices[ti].append(_decode_slice(nb, geom, table.payload, depth, read,
+                slices[ti].append(_decode_slice(nb, geom, payload, depth, read,
                                                 tapped and depth > 1, sites, ti * J * K * R))
             # stages A, B, C and D of slices depth, depth-1, depth-2 and depth-3
             staged = [next(s) for s in reversed(slices[ti][max(0, depth - 4):depth])]
@@ -277,10 +288,11 @@ def check_lin_packing(geom: CellGeometry) -> None:
                              "more than a float64 significand holds (52)")
 
 
-def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
-                     carry: list[int] = (), absorb: list[list[int]] = (),
+def grow_lin_decoder(nb: NetBuilder, geom: CellGeometry, payload: np.ndarray,
+                     bits: list[int], carry: list[int] = (), absorb: list[list[int]] = (),
                      sites: list | None = None) -> tuple[list[int], list[int]]:
-    """Emit one lin decoder block against bit handles in the last layer.
+    """Emit one lin decoder block for the (J, K, R) 0/1 ``payload`` over
+    the geometry ``geom``, against bit handles in the last layer.
 
     Adds 2R+2 layers.  ``carry`` handles are forwarded through all of them
     and returned; each group in ``absorb`` is collapsed into a fresh neuron
@@ -296,17 +308,10 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     R <= 52 (``check_lin_packing``) so that every packed column is an
     exact float64.
     """
-    geom = table.geometry
-    gj, gk, gr = geom.group_levels()
     J, K, R = geom.sizes
     check_lin_packing(geom)
     chunk = 2 ** (geom.m * geom.d)
-    lam = table.payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
-
-    def ind(targets):
-        row, bias = _indicator_row(targets)
-        return nb.step({read[s]: w for s, w in row.items()}, bias=bias)
-
+    lam = payload @ (0.5 ** np.arange(1, R + 1))  # (J, K) packed stored-bit columns
     carry = list(carry)
     cur = {h: h for h in dict.fromkeys(carry + list(bits))}
     jind: list[int] = []  # one chunk of cell-index indicators
@@ -321,7 +326,8 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
     absorbed: list[int] = []
 
     for depth in range(1, 2 * R + 3):
-        read = [cur[h] for h in bits] if depth <= 2 * R + 1 else []
+        if depth <= 2 * R + 1:  # the digit bits are still carried
+            (hj, wj, bj), (hk, wk, bk), (hr, wr, br) = _bind_rows(geom, [cur[h] for h in bits])
         nb.new_layer()
         cur = {h: nb.forward(cur[h])
                for h in dict.fromkeys(carry + (bits if depth <= 2 * R else []))}
@@ -333,8 +339,8 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
         ell = depth - R - 1  # the digit level extracted at this depth
         if depth <= R:
             # stage A: chunk #depth of cell-index indicators
-            jind = [ind(geom.target_bits(gj, j))
-                    for j in range((depth - 1) * chunk + 1, depth * chunk + 1)]
+            jind = [nb.step(dict(zip(hj, wj[j])), bias=bj[j])
+                    for j in range((depth - 1) * chunk, depth * chunk)]
         if 2 <= depth <= R + 1:
             # identity accumulators folding chunk depth-1 into the packed columns
             base = (depth - 2) * chunk
@@ -346,13 +352,13 @@ def grow_lin_decoder(nb: NetBuilder, table: BitTable, bits: list[int],
                     row[prev_acc[k]] = 1.0
                 acc.append(nb.linear(row))
                 if sites is not None:
-                    sites.extend((acc[-1], hj, ((base + jj) * K + k) * R + r, 0.5 ** (r + 1))
-                                 for jj, hj in enumerate(prev_jind) for r in range(R))
+                    sites.extend((acc[-1], h, ((base + jj) * K + k) * R + r, 0.5 ** (r + 1))
+                                 for jj, h in enumerate(prev_jind) for r in range(R))
             rem, bit = acc, [None] * K  # the packed columns are the first remainders
         if 1 <= ell <= R:
             # joint (k, r)-hit indicators, then digit ell of every packed column
-            pair = [ind(geom.target_bits(gk, k) + geom.target_bits(gr, ell))
-                    for k in range(1, K + 1)]
+            pair = [nb.step(dict(zip(hk + hr, w + wr[ell - 1])), bias=b + br[ell - 1] - 0.5)
+                    for w, b in zip(wk, bk)]
             bit, rem = map(list, zip(*[grow_narrow_digit(nb, rm, b, ell, R)
                                        for rm, b in zip(prev_rem, prev_bit)]))
         if 2 <= ell <= R + 1:
@@ -390,11 +396,11 @@ def _standalone_decoder(table: BitTable) -> BuiltNetwork:
     params = {"kind": geom.kind, "d": geom.d, "m": geom.m, "n": geom.n}
     if geom.kind == "skip":
         nb = NetBuilder(len(inputs), NetworkKind.SKIP)
-        (parts,), _ = grow_skip_decoder_bank(nb, [table], inputs)
+        (parts,), _ = grow_skip_decoder_bank(nb, geom, table.payload[None], inputs)
         out_bias = -0.5
     else:
         nb = NetBuilder(len(inputs), NetworkKind.LIN)
-        parts, _ = grow_lin_decoder(nb, table, inputs)
+        parts, _ = grow_lin_decoder(nb, geom, table.payload, inputs)
         out_bias = 0.0
         params["t"] = geom.t
     nb.output([{h: 1.0 for h in parts}], [out_bias])

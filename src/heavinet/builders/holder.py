@@ -36,7 +36,7 @@ from ..networks import NetworkKind
 from ..radix import check_digit_budget
 from .bits import grow_binary_bits_lin, grow_radix_readouts
 from .built import BuiltNetwork, Construction, Guarantee
-from .decoders import BitTable, CellGeometry, grow_lin_decoder, grow_skip_decoder_bank
+from .decoders import CellGeometry, grow_lin_decoder, grow_skip_decoder_bank
 from .dsl import NetBuilder
 
 __all__ = ["HolderConfig", "holder_approximator", "multi_indices", "alpha_positions"]
@@ -67,8 +67,8 @@ class HolderConfig:
     ``bounds[alpha]`` must dominate ``sup |D^alpha f0|`` on the cube;
     ``deriv(alpha, X)`` returns the derivative values at the rows of X; and
     ``holder_norm_bound`` must dominate both the target's smoothness norm
-    and ``sum_alpha bounds[alpha]``.  Builders may call ``deriv`` from
-    worker threads, so the callback must be reentrant.
+    and ``sum_alpha bounds[alpha]``.  A build calls ``deriv`` once per
+    alpha, with every cell center as a row of X.
     """
 
     beta: float
@@ -101,12 +101,13 @@ class HolderConfig:
                 "holder_norm_bound must dominate the sum of the derivative bounds")
 
 
-def _quantized_bit_tables(config: HolderConfig, geom: CellGeometry, q: int
-                          ) -> dict[tuple[tuple[int, ...], int], BitTable]:
-    """Leading q bits of the rescaled derivative values, one table per
-    (alpha, bit position)."""
-    centers = np.array([geom.cell_center(*cell) for cell in geom.all_cells()])
-    tables: dict[tuple[tuple[int, ...], int], BitTable] = {}
+def _quantized_bit_tables(config: HolderConfig, geom: CellGeometry, q: int) -> np.ndarray:
+    """Leading q bits of the rescaled derivative values at the cell
+    centers, one payload per (alpha, bit position) with alpha outermost;
+    shape (alphas * q, J, K, R)."""
+    centers = geom.cell_centers()
+    shifts = np.arange(q - 1, -1, -1)[:, None]
+    payloads = []
     for alpha in config.alphas():
         B = float(config.bounds[alpha])
         vals = np.asarray(config.deriv(alpha, centers), dtype=float).reshape(len(centers))
@@ -114,12 +115,9 @@ def _quantized_bit_tables(config: HolderConfig, geom: CellGeometry, q: int
         if np.any(scaled < 0.0) or np.any(scaled > 1.0):
             raise InvalidInputError(
                 f"derivative for alpha={alpha} exceeds its stated bound {B}")
-        ints = np.floor(scaled * float(2**q)).astype(np.int64)
-        ints = np.minimum(ints, 2**q - 1)
-        for ell in range(1, q + 1):
-            # the cells run in payload order
-            tables[(alpha, ell)] = BitTable(geom, ((ints >> (q - ell)) & 1).reshape(geom.sizes))
-    return tables
+        ints = np.minimum(np.floor(scaled * float(2**q)).astype(np.int64), 2**q - 1)
+        payloads.append(ints >> shifts & 1)  # (q, cells), the cells in payload order
+    return np.concatenate(payloads).reshape(-1, *geom.sizes)
 
 
 def _product_layer_and_output(nb: NetBuilder, config: HolderConfig, geom: CellGeometry,
@@ -173,7 +171,7 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
     q = math.ceil(config.beta) * levels
     check_digit_budget(q, "holder approximator")
     alphas = config.alphas()
-    tables = _quantized_bit_tables(config, geom, q)
+    payloads = _quantized_bit_tables(config, geom, q)
     pairs = [(alpha, ell) for alpha in alphas for ell in range(1, q + 1)]
     d = config.d
 
@@ -182,7 +180,7 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
         digits = grow_radix_readouts(nb, (2,) * q, coords=range(d))
         carry = [digits[(i, ell, 1)] for i in range(d) for ell in range(1, q + 1)]
         bits = [carry[i * q + (lev - 1)] for i in range(d) for lev in range(1, levels + 1)]
-        groups, carry = grow_skip_decoder_bank(nb, [tables[p] for p in pairs], bits, carry)
+        groups, carry = grow_skip_decoder_bank(nb, geom, payloads, bits, carry)
         nb.new_layer()
         carry = [nb.forward(h) for h in carry]
         eta_handles = {pair: nb.any_of(group) for pair, group in zip(pairs, groups)}
@@ -191,10 +189,10 @@ def holder_approximator(kind: str, config: HolderConfig) -> BuiltNetwork:
         digits = grow_binary_bits_lin(nb, q, coords=range(d))
         carry = [digits[(i, ell)] for i in range(d) for ell in range(1, q + 1)]
         pending: list[int] | None = None
-        for pair in pairs:
+        for payload in payloads:
             bits = [carry[i * q + (lev - 1)] for i in range(d)
                     for lev in range(1, levels + 1)]
-            parts, carry = grow_lin_decoder(nb, tables[pair], bits, carry,
+            parts, carry = grow_lin_decoder(nb, geom, payload, bits, carry,
                                             absorb=[pending] if pending else [])
             pending = parts
         nb.new_layer()

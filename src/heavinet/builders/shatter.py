@@ -47,7 +47,7 @@ def labels_to_table(geom: CellGeometry, labeling) -> BitTable:
     whose digits are i written big-endian, and with one coordinate the
     digit groups are consecutive levels in (j, k, r) order, so the payload
     order is the point order."""
-    labeling = np.asarray(labeling, dtype=int).reshape(-1)
+    labeling = np.asarray(labeling).reshape(-1)
     if labeling.size != 2 ** geom.levels:
         raise InvalidInputError(f"labeling needs {2 ** geom.levels} entries")
     return BitTable(geom, labeling.reshape(geom.sizes))
@@ -82,20 +82,20 @@ def _assemble(geom: CellGeometry, labeling: np.ndarray, sites: list | None = Non
             handle_sites.append((h, None, 0, 1.0))
         nb.output([{h: 1.0}], [-0.5])
     elif geom.kind == "skip":
-        table = labels_to_table(geom, labeling)
+        payload = labels_to_table(geom, labeling).payload
         nb = NetBuilder(1, NetworkKind.SKIP)
         readouts = grow_radix_readouts(nb, (2,) * geom.levels)
         bits = [readouts[(0, ell, 1)] for ell in range(1, geom.levels + 1)]
-        (parts,), _ = grow_skip_decoder_bank(nb, [table], bits, sites=handle_sites)
+        (parts,), _ = grow_skip_decoder_bank(nb, geom, payload[None], bits, sites=handle_sites)
         nb.new_layer()
         label = nb.tag("label", nb.any_of(parts))
         nb.output([{label: 1.0}], [-0.5])
     else:
-        table = labels_to_table(geom, labeling)
+        payload = labels_to_table(geom, labeling).payload
         nb = NetBuilder(1, NetworkKind.LIN)
         digits = grow_binary_bits_lin(nb, geom.levels)
         bits = [digits[(0, ell)] for ell in range(1, geom.levels + 1)]
-        parts, _ = grow_lin_decoder(nb, table, bits, sites=handle_sites)
+        parts, _ = grow_lin_decoder(nb, geom, payload, bits, sites=handle_sites)
         nb.output([{h: 1.0 for h in parts}], [-0.5])
     net, probes = nb.build()
     if sites is not None:
@@ -113,7 +113,7 @@ def shattering_net(kind: str, m: int, n: int, t: int = 0,
     equals ``labeling[i]`` exactly.
     """
     points = shatter_points(kind, m, n, t)
-    labeling = np.asarray(labeling, dtype=int).reshape(-1)
+    labeling = np.asarray(labeling).reshape(-1)
     if labeling.size != points.size or not np.all((labeling == 0) | (labeling == 1)):
         raise InvalidInputError(f"labeling must be {points.size} bits")
     params = {"kind": kind, "m": m, "n": n, "t": t,

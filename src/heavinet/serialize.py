@@ -113,8 +113,8 @@ def check_document_size(arch: Architecture) -> None:
     params = arch.param_count()
     if params > MAX_DOCUMENT_PARAMS:
         raise ResourceLimitError(
-            f"network has {params} dense-equivalent parameters; documents are capped "
-            f"at {MAX_DOCUMENT_PARAMS}")
+            f"network has {params} dense-equivalent parameters, over the "
+            f"{MAX_DOCUMENT_PARAMS} cap")
 
 
 def to_document(net: Network | BuiltNetwork) -> str:

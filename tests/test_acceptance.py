@@ -185,8 +185,8 @@ def test_criterion_5_decoder_exactness():
     for kind, m, n, t in [("skip", 1, 1, 0), ("skip", 2, 1, 0), ("skip", 1, 2, 0),
                           ("lin", 1, 0, 1), ("lin", 1, 1, 1)]:
         geom = CellGeometry(kind, 1, m, n, t)
-        cells = list(geom.all_cells())
-        bit_rows = np.array([geom.cell_bits(*c).ravel() for c in cells], dtype=float)
+        cells = [(j + 1, k + 1, r + 1) for j, k, r in np.ndindex(geom.sizes)]
+        bit_rows = geom.cell_digits().reshape(len(cells), -1).astype(float)
         n_payloads = 0
         for payload in _payloads(geom, rng):
             table = BitTable(geom, payload)

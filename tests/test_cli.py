@@ -610,8 +610,8 @@ def test_oversized_square_is_refused_before_it_is_built(tmp_path, capsys, monkey
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("error: network has 500150030001 dense-equivalent parameters; "
-                            "documents are capped at 4194304\n")
+    assert captured.err == ("error: network has 500150030001 dense-equivalent parameters, "
+                            "over the 4194304 cap\n")
     assert not out.exists()
 
 
@@ -624,8 +624,8 @@ def test_sweep_refuses_an_oversized_square_before_any_build(capsys, monkeypatch)
     code = run(["sweep", "square", "--L", "2", "--s", "1,10000", "--grid", "10"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == ("error: network has 500150030001 dense-equivalent parameters; "
-                            "documents are capped at 4194304\n")
+    assert captured.err == ("error: network has 500150030001 dense-equivalent parameters, "
+                            "over the 4194304 cap\n")
 
 
 def test_a_radix_past_int_to_str_limits_names_the_digit_budget(capsys):

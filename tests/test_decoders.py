@@ -41,14 +41,40 @@ def test_geometry_without_levels_has_no_decoder(kind):
         holder_approximator(kind, config)
 
 
+def _cells(geom):
+    """(j, k, r) of every cell, in payload order."""
+    return [(j + 1, k + 1, r + 1) for j, k, r in np.ndindex(geom.sizes)]
+
+
 def test_index_map_round_trip():
     geom = CellGeometry("skip", 2, 1, 2)
-    for j, k, r in geom.all_cells():
-        bits = geom.cell_bits(j, k, r)
-        assert geom.index_of_bits(bits) == (j, k, r)
-        center = geom.cell_center(j, k, r)
+    for cell, bits, center in zip(_cells(geom), geom.cell_digits(), geom.cell_centers()):
+        assert geom.index_of_bits(bits) == cell
         redug = np.array([binary_digits(c, geom.levels).digits for c in center])
-        assert geom.index_of_bits(redug) == (j, k, r)
+        assert geom.index_of_bits(redug) == cell
+
+
+CELL_GEOMETRIES = [CellGeometry("skip", d, m, n) for d in (1, 2) for m in range(3)
+                   for n in range(3) if 1 <= d * (2 * m + n) <= 10]
+CELL_GEOMETRIES += [CellGeometry("lin", d, m, n, t) for d in (1, 2) for m in range(3)
+                    for n in range(3) for t in range(3) if 1 <= d * (m + n + 2 * t) <= 10]
+
+
+def test_cell_digits_match_the_index_loop():
+    for geom in CELL_GEOMETRIES:
+        digits = geom.cell_digits()
+        assert digits.shape == (np.prod(geom.sizes), geom.d, geom.levels), geom
+        assert set(np.unique(digits).tolist()) <= {0, 1}, geom
+        assert [geom.index_of_bits(bits) for bits in digits] == _cells(geom), geom
+
+
+def test_cell_centers_redigitize_to_their_own_cell():
+    for geom in CELL_GEOMETRIES:
+        centers = geom.cell_centers()
+        assert centers.shape == (np.prod(geom.sizes), geom.d), geom
+        for cell, center in zip(_cells(geom), centers):
+            digits = np.array([binary_digits(float(c), geom.levels).digits for c in center])
+            assert geom.index_of_bits(digits) == cell, geom
 
 
 def test_skip_decoder_hand_example():
@@ -64,8 +90,8 @@ def test_skip_decoder_hand_example():
 def test_all_ones_payload_fires_everywhere():
     geom = CellGeometry("skip", 1, 1, 1)
     g = decoder("skip", BitTable(geom, np.ones(geom.sizes, dtype=int)))
-    for cell in geom.all_cells():
-        assert evaluate(g.net, geom.cell_bits(*cell).ravel())[0] >= 0
+    for bits in geom.cell_digits():
+        assert evaluate(g.net, bits.ravel())[0] >= 0
 
 
 @pytest.mark.parametrize("m, n, widths, skip_counts", [
@@ -83,9 +109,9 @@ def test_skip_decoder_architecture(m, n, widths, skip_counts):
 
 def _decode_all_cells(built, table, thresholded):
     geom = table.geometry
+    outs = evaluate_batch(built.net, geom.cell_digits().reshape(-1, geom.d * geom.levels))
     bad = []
-    for cell in geom.all_cells():
-        out = evaluate(built.net, geom.cell_bits(*cell).ravel())[0]
+    for cell, out in zip(_cells(geom), outs[:, 0]):
         got = (1 if out >= 0 else 0) if thresholded else out
         if got != table.payload[cell[0] - 1, cell[1] - 1, cell[2] - 1]:
             bad.append(cell)
@@ -139,8 +165,8 @@ def test_r_select_slice():
         assert g.net.arch.kind.value == "plain"
         assert g.net.arch.depth == 3
         assert max(g.net.arch.hidden_widths) <= 2 * geom.sizes[1] + 1
-        for j, k, r in geom.all_cells():
-            out = evaluate(g.net, geom.cell_bits(j, k, r).ravel())[0]
+        for (j, k, r), bits in zip(_cells(geom), geom.cell_digits()):
+            out = evaluate(g.net, bits.ravel())[0]
             want = int(table.payload[j - 1, k - 1, r_sel - 1]) * (1 if r == r_sel else 0)
             assert (1 if out >= 0 else 0) == want
 
@@ -154,6 +180,25 @@ def test_payload_mismatch_rejected():
     lin_geom = CellGeometry("lin", 1, 1, 0, 1)
     with pytest.raises(InvalidInputError):
         decoder("skip", BitTable(lin_geom, np.zeros(lin_geom.sizes, dtype=int)))
+
+
+@pytest.mark.parametrize("value", [0.7, 1.9, 1.2])
+def test_non_binary_payload_refused_before_any_cast(value):
+    geom = CellGeometry("skip", 1, 1, 1)
+    payload = np.zeros(geom.sizes)
+    payload[1, 0, 1] = value
+    with pytest.raises(InvalidInputError) as err:
+        BitTable(geom, payload)
+    assert str(err.value) == "payload entries must be 0 or 1"
+
+
+@pytest.mark.parametrize("payload", [np.ones((2, 2, 2)), np.ones((2, 2, 2), dtype=bool),
+                                     [[[1, 0], [0, 1]], [[True, False], [1.0, 0.0]]]],
+                         ids=["float", "bool", "mixed"])
+def test_binary_payload_accepted_as_int(payload):
+    table = BitTable(CellGeometry("skip", 1, 1, 1), payload)
+    assert table.payload.dtype == int
+    assert np.array_equal(table.payload, np.asarray(payload, dtype=float))
 
 
 @pytest.mark.parametrize("kind, r_select, message", [
@@ -187,7 +232,7 @@ def test_stack_extractor_with_decoder():
     assert validate(combo.net) == []
     assert combo.net.arch.depth == front.net.arch.depth + back.net.arch.depth
     xs = np.concatenate([rng.uniform(0, 1, 1000),
-                         [geom.cell_center(*c)[0] for c in geom.all_cells()]])
+                         geom.cell_centers()[:, 0]])
     out = evaluate_batch(combo.net, xs[:, None])[:, 0]
     for x, o in zip(xs, out):
         bits = np.array(binary_digits(float(x), 3).digits).reshape(1, 3)

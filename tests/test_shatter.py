@@ -29,6 +29,42 @@ def test_point_sets():
     assert np.array_equal(shatter_points("skip", 0, 0), [0.5])
 
 
+SHATTER_GEOMETRIES = [("skip", m, n, 0) for m in range(7) for n in range(13)
+                      if 1 <= 2 * m + n <= 12]
+SHATTER_GEOMETRIES += [("lin", m, n, t) for m in range(13) for n in range(13) for t in range(7)
+                       if 1 <= m + n + 2 * t <= 12]
+
+
+def test_points_are_the_cell_centers():
+    for geometry in SHATTER_GEOMETRIES:
+        pts = shatter_points(*geometry)
+        centers = CellGeometry(geometry[0], 1, *geometry[1:]).cell_centers()[:, 0]
+        assert pts.tobytes() == centers.tobytes(), geometry
+    for kind in ("skip", "lin"):
+        assert shatter_points(kind, 0, 0, 0).tobytes() == np.array([0.5]).tobytes()
+
+
+@pytest.mark.parametrize("value", [0.7, 1.9, 1.2])
+def test_non_binary_labels_refused(value):
+    with pytest.raises(InvalidInputError) as err:
+        shattering_net("skip", 1, 0, 0, [0.5 if value == 1.2 else 0, value, 0, 1])
+    assert str(err.value) == "labeling must be 4 bits"
+    with pytest.raises(InvalidInputError) as err:
+        labels_to_table(CellGeometry("skip", 1, 1, 0), [0, value, 0, 1])
+    assert str(err.value) == "payload entries must be 0 or 1"
+
+
+@pytest.mark.parametrize("labeling", [[0, 1.0, 0, 1], [False, True, False, True],
+                                      np.array([0, 1, 0, 1])], ids=["float", "bool", "int"])
+def test_binary_labels_accepted(labeling):
+    built, pts = shattering_net("skip", 1, 0, 0, labeling)
+    assert built.construction.parameters["labeling"] == "0101"
+    got = (evaluate_batch(built.net, pts[:, None])[:, 0] >= 0).astype(int)
+    assert got.tolist() == [0, 1, 0, 1]
+    table = labels_to_table(CellGeometry("skip", 1, 1, 0), labeling)
+    assert table.payload.dtype == int and table.payload.ravel().tolist() == [0, 1, 0, 1]
+
+
 def test_all_zero_and_indicator_labelings():
     net, pts = shattering_net("skip", 1, 1, 0, np.zeros(8, dtype=int))
     assert np.all(evaluate_batch(net.net, pts[:, None])[:, 0] < 0)
