@@ -16,7 +16,7 @@ from ..builders.shatter import (
     shatter_template,
 )
 from ..errors import InvalidInputError, ResourceLimitError
-from ..networks import _forward
+from ..networks import _block_columns, _forward
 
 __all__ = ["ShatterCertificate", "shatter_verify"]
 
@@ -82,17 +82,19 @@ def _prefix(template: ShatterTemplate, x: np.ndarray) -> np.ndarray:
 
 
 def labeling_outputs(template: ShatterTemplate, labelings, x: np.ndarray | None = None,
-                     head: np.ndarray | None = None) -> np.ndarray:
+                     head: np.ndarray | None = None, filled=None) -> np.ndarray:
     """Network output for every labeling row at the (points, 1) matrix
     ``x``, all of the template's points by default; shape (labelings,
-    points).  ``head`` is ``_prefix(template, x)`` if already computed."""
+    points).  ``head`` is ``_prefix(template, x)`` and ``filled`` the
+    list of ``template.fill(labelings)`` if already computed."""
     net = template.net
     if x is None:
         x = template.points[:, None]
     if head is None:
         head = _prefix(template, x)
-    out = _forward(net, head, x.T, int(template.stage.min()), net.arch.depth + 1,
-                   template.fill(labelings))
+    if filled is None:
+        filled = template.fill(labelings)
+    out = _forward(net, head, x.T, int(template.stage.min()), net.arch.depth + 1, filled)
     return out[..., 0, :]
 
 
@@ -115,13 +117,16 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     with every label 0.  Labelings are then checked in chunks: each chunk
     fills those entries for all of its labelings and runs one tensor pass over
     labelings x width x points through ``networks._forward``, the stage
-    loop of every forward pass, starting from the digit-extractor prefix
-    computed once for all of them.  A chunk holds at most
+    loop of every forward pass, starting from the digit-extractor prefix,
+    which every labeling shares.  A chunk holds at most
     ``LABELING_CHUNK_ELEMENTS`` float64 values per activation or weight
     tensor (128 KiB), splitting the points as well when one labeling's
     activations need more.  One labeling's filled weights can alone exceed
     the cap (129 x 129 at skip (6, 0)); such a chunk holds that one
-    labeling.  So memory stays flat however many labelings there are;
+    labeling.  The prefix runs once per group of points, sized as
+    ``evaluate_batch`` sizes a block over the prefix's widths, and each
+    chunk is filled once per group, its fill reused by every pass over the
+    group's points.  So memory stays flat however many labelings there are;
     the exhaustive 2^16-labeling certificate of ``("skip", 1, 2)`` runs in
     about a second.  The filled weights are bit-identical to the literal
     ``shattering_net`` build of each labeling.
@@ -160,19 +165,24 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
     template = shatter_template(kind, m, n, t)
     net = template.net
     budgets_ok = _within_budgets(net.arch, kind, m, n, t)
-    width = max(net.arch.augmented_widths())
+    ws = net.arch.augmented_widths()
     weights = max(math.prod(net.layers[s].W.shape) for s in np.unique(template.stage))
-    block = max(1, LABELING_CHUNK_ELEMENTS // width)  # points per pass
+    block = min(npts, max(1, LABELING_CHUNK_ELEMENTS // max(ws)))  # points per pass
+    chunk = max(1, LABELING_CHUNK_ELEMENTS // max(block * max(ws), weights))
+    group = _block_columns(ws[:int(template.stage.min()) + 1])  # points per prefix
     failed = np.zeros(tried, dtype=bool)
-    for p0 in range(0, npts, block):
-        x = points[p0:p0 + block, None]
-        head = _prefix(template, x)
-        chunk = max(1, LABELING_CHUNK_ELEMENTS // max(len(x) * width, weights))
+    for g0 in range(0, npts, group):
+        x = points[g0:g0 + group, None]
+        heads = _prefix(template, x)
         for lo in range(0, tried, chunk):
             hi = min(lo + chunk, tried)
             lam = labeling_rows(lo, hi)
-            realized = labeling_outputs(template, lam, x, head) >= 0.0
-            failed[lo:hi] |= np.any(realized != lam[:, p0:p0 + block], axis=1)
+            filled = list(template.fill(lam))
+            for p0 in range(0, len(x), block):
+                p1 = min(p0 + block, len(x))
+                realized = labeling_outputs(template, lam, x[p0:p1], heads[:, p0:p1],
+                                            filled) >= 0.0
+                failed[lo:hi] |= np.any(realized != lam[:, g0 + p0:g0 + p1], axis=1)
     failures = ["".join(str(int(b)) for b in labeling_rows(i, i + 1)[0])
                 for i in np.flatnonzero(failed)]
     return ShatterCertificate(kind, {"m": m, "n": n, "t": t}, points, tried,

@@ -7,7 +7,11 @@ neuron and region: the inputs and the identity neurons of a lin network
 carry a slope, a step neuron's bit is constant.  A stage maps the pairs
 to its pre-activations, each step neuron splits a region at most once,
 and the region count stays within the paper's layer-wise ceiling.  Only
-the split differs.
+the split differs.  Splitting stops at ``networks.pattern_stage``: no
+stage from there on reads the input, so every slope it computes is a sum
+of zero-weight terms, and the region count, which has met its ceiling so
+far, stays constant through the later layers.  Those stages run as one
+``networks._forward`` pass over the regions' intercepts.
 
 ``exact_pieces`` splits at the exact roots of the affine pre-activations.
 Piece values are read from direct evaluation at representative
@@ -58,7 +62,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvalidInputError
-from ..networks import Network, _checked_points, _forward, evaluate_batch, step_rows
+from ..networks import (
+    Network,
+    _checked_points,
+    _forward,
+    evaluate_batch,
+    pattern_stage,
+    step_rows,
+)
 from .bounds import _layer_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
@@ -134,12 +145,20 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
     refined boundaries plus one parameter t per new region, where its
     parent's state is read.  After each stage the region count may not
     exceed the paper's layer-wise ceiling, ``bounds._layer_ceilings``.
+
+    The split loop runs on the stages before ``pattern_stage(net)`` only.
+    The stages from there on read no input and give every step
+    pre-activation a zero slope, so nothing splits and the count stays
+    within the later ceilings (every factor is at least 1); the loop hands
+    its intercepts to ``_forward``, which gives the last hidden layer's
+    bits, those of the every-stage loop bit for bit.
     """
     arch = net.arch
     dx = x2 - x1
     H, Hs = x1[:, None], dx[:, None]
     ceilings = _layer_ceilings(arch)
-    for i in range(arch.depth):
+    first = pattern_stage(net)
+    for i in range(first):
         layer = net.layers[i]
         A = np.asarray(layer.W @ H) - np.asarray(layer.b)[:, None]
         # the slope product runs over the slope-carrying columns alone
@@ -157,7 +176,7 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
         if len(bounds) - 1 > ceilings[i]:
             raise AssertionError(
                 f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceilings[i]}")
-    return bounds, H
+    return bounds, _forward(net, H, None, first, arch.depth)
 
 
 def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):

@@ -148,8 +148,19 @@ class NetBuilder:
         return self._add(prev, None, bias, linear=True)
 
     def forward(self, handle: int) -> int:
-        """Carry a binary neuron one layer: b = step(b - 1/2)."""
-        return self._add({handle: 1.0}, None, -0.5, False)
+        """Carry a binary neuron one layer: b = step(b - 1/2).  A handle of
+        the previous layer is appended directly; anything else takes the
+        checks of ``_add``."""
+        starts = self._starts
+        if len(starts) < 2 or not starts[-2] <= handle < starts[-1]:
+            return self._add({handle: 1.0}, None, -0.5, False)
+        carry = len(self._bias)
+        self._bias.append(-0.5)
+        self._linear.append(False)
+        self._counts.append(1)
+        self._cols.append(handle)
+        self._vals.append(1.0)
+        return carry
 
     def all_of(self, handles: list[int]) -> int:
         """AND of binary neurons, ``step(sum b - n + 1/2)`` over the n handles:

@@ -12,6 +12,7 @@ exactly at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,26 +144,38 @@ class ShatterTemplate:
     site_cell: np.ndarray
     site_coef: np.ndarray
 
+    @cached_property
+    def _stages(self) -> tuple:
+        """Per payload-dependent stage, in stage order: the stage, its dense
+        weights and bias, the (row, column) of its weight entries and the
+        rows of its bias entries, each with its entry indices.  Built once,
+        on the first ``fill``."""
+        stages = []
+        for stage in np.unique(self.stage).tolist():
+            layer = self.net.layers[stage]
+            W = layer.W.toarray() if issparse(layer.W) else np.asarray(layer.W)
+            at = self.stage == stage
+            weight, bias = np.flatnonzero(at & (self.col >= 0)), np.flatnonzero(at & (self.col < 0))
+            stages.append((stage, W, np.asarray(layer.b), weight, self.row[weight],
+                           self.col[weight], bias, self.row[bias]))
+        return tuple(stages)
+
     def fill(self, labelings):
         """Weights of the payload-dependent stages for each labeling row.
 
         Yields ``(stage, W, b)`` in stage order, with shapes (labelings,
-        out, in) and (labelings, out), one stage at a time so that only one
-        filled tensor is alive.  Each is bit-identical to the stage of the
-        literal ``shattering_net`` build of each labeling: every sum is of
-        distinct powers of two, hence exact.
+        out, in) and (labelings, out), each a copy of the stage's dense base
+        with the labelings' entries filled in.  Each is bit-identical to
+        the stage of the literal ``shattering_net`` build of each labeling:
+        every sum is of distinct powers of two, hence exact.
         """
         labelings = np.asarray(labelings, dtype=float)
         vals = np.add.reduceat(labelings[:, self.site_cell] * self.site_coef, self.starts, axis=1)
-        for stage in np.unique(self.stage).tolist():
-            layer = self.net.layers[stage]
-            W = layer.W.toarray() if issparse(layer.W) else layer.W
+        for stage, W, b, weight, rows, cols, bias, bias_rows in self._stages:
             W = np.repeat(W[None], len(labelings), axis=0)
-            b = np.repeat(np.asarray(layer.b)[None], len(labelings), axis=0)
-            weight = (self.stage == stage) & (self.col >= 0)
-            W[:, self.row[weight], self.col[weight]] += vals[:, weight]
-            bias = (self.stage == stage) & (self.col < 0)
-            b[:, self.row[bias]] -= vals[:, bias]  # stages compute W h - b
+            b = np.repeat(b[None], len(labelings), axis=0)
+            W[:, rows, cols] += vals[:, weight]
+            b[:, bias_rows] -= vals[:, bias]  # stages compute W h - b
             yield stage, W, b
 
 

@@ -26,10 +26,12 @@ sparse matrix is first made or read, and ``issparse`` asks it only once it
 is loaded, so a run that meets only dense matrices never loads it.
 
 ``evaluate_batch`` runs in column blocks of ``BLOCK_FLOATS`` over the
-widest stage they pass.  From the pattern stage on (``pattern_stage``: no
-stage after it reads the input or an identity neuron) a point's output is
-a function of its binary pattern, and only the first point of each run of
-equal adjacent patterns goes through the later stages.
+widest stage they pass.  The pattern stage (``pattern_stage``) is one past
+the last stage that reads the input: through the taps, or through an
+identity neuron whose value depends on it.  From there on a point's column
+is a function of its step bits and of identity values that do not depend
+on the input, so only the first point of each run of equal adjacent
+columns goes through the later stages.
 
 A ``Network`` is valid for its whole life.  Constructing one runs
 ``validate``, the one statement of the rules of each class, and raises
@@ -45,6 +47,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -158,6 +161,18 @@ class Network:
         violations = validate(self)
         if violations:
             raise InvalidNetworkError(violations)
+
+    @cached_property
+    def _pattern_stage(self) -> int:
+        # stage i reads the input if it is stage 0, has taps, or weighs an
+        # identity neuron that a reading stage computed
+        last, carried = 0, False
+        for i, layer in enumerate(self.layers):
+            if layer.V is not None or \
+                    (carried and mat_nonzero_rows(layer.W[:, step_rows(self.arch, i - 1):])):
+                last = i
+            carried = last == i and step_rows(self.arch, i) is not None
+        return last + 1
 
 
 # -- matrix payload helpers (dense ndarray or scipy.sparse) -----------------
@@ -369,12 +384,15 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
     in blocks of columns sized to ``BLOCK_FLOATS`` over the widest stage
     they pass, at least ``BLOCK_MIN_COLUMNS``, so a block's activations
     stay in cache.  Stages before ``pattern_stage`` run on every point, in
-    blocks sized over the widest of their widths.  Past it the output
-    depends only on the binary pattern, so each run of adjacent points
-    with equal patterns is evaluated once, at its first point, and the
-    run heads go through the remaining stages in blocks sized over the
-    widest of those; an ordered grid has few runs.  When the pattern stage
-    is the output stage, every stage runs on every point.
+    blocks sized over the widest of their widths.  Past it a point's
+    column is a function of its step bits and of input-free identity
+    values, so each run of adjacent points with equal columns there is
+    evaluated once, at its first point, and the run heads go through the
+    remaining stages in blocks sized over the widest of those; an ordered
+    grid has few runs.  Equal columns may differ in the sign of a zero
+    identity value, which cannot reach the output (see
+    ``pattern_stage``).  When the pattern stage is the output stage, every
+    stage runs on every point.
 
     A point's output is the same float whatever the batch, the block or
     its column, here or in ``evaluate``: the output stage multiplies the
@@ -425,14 +443,23 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
 
 
 def pattern_stage(net: Network) -> int:
-    """The first stage from which no stage reads the input or an identity
-    neuron: one past the last stage with skip taps or whose input layer has
-    identity rows, 1 when there is none.  From there on a point's output
-    depends only on its step pattern."""
-    ws = net.arch.augmented_widths()
-    return 1 + max((i for i in range(1, len(ws) - 1)
-                    if net.layers[i].V is not None
-                    or (step_rows(net.arch, i - 1) or ws[i]) < ws[i]), default=0)
+    """One past the last stage that reads the input, computed once per
+    network.  A stage reads the input if it is stage 0, if it has a tap
+    matrix (``V`` is not ``None``), or if it has a nonzero weight on an
+    identity neuron whose value depends on the input: an identity row of a
+    stage that reads the input.  The rule reads structure only, so a plain
+    network gives 1, a skip network one past its last tapped stage, and a
+    lin network the first stage that weighs none of the input-dependent
+    identity neurons.
+
+    From this stage on, every stage computes from step bits and from
+    identity values that do not depend on the input; the identity rows it
+    is handed that do are multiplied by zero weights.  Such a zero product
+    can carry the sign of the identity value, but a signed zero cannot
+    reach the output: identity values only pass into sums, where it moves
+    nothing but the sign of a zero, and the last hidden layer is pure step,
+    which compares."""
+    return net._pattern_stage
 
 
 def _block_columns(widths) -> int:

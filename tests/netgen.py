@@ -8,6 +8,7 @@ import functools
 import numpy as np
 
 from heavinet import Architecture, LayerParams, Network, NetworkKind
+from heavinet.networks import step_rows
 
 
 def random_network(kind: NetworkKind, rng: np.random.Generator,
@@ -36,6 +37,26 @@ def random_network(kind: NetworkKind, rng: np.random.Generator,
             rows = rng.choice(ws[i + 1], size=skip_counts[i - 1], replace=False)
             V[rows] = rng.uniform(-weight_scale, weight_scale, (skip_counts[i - 1], d))
         layers.append(LayerParams(W, b, V))
+    return Network(arch, tuple(layers))
+
+
+def input_free_suffix(net: Network, rng: np.random.Generator) -> Network:
+    """``net`` with the identity columns of every stage from a random one
+    on zeroed, so no stage past it reads the input.  Half the time the
+    identity rows feeding that stage are zeroed too: constant zeros of
+    either sign, so equal step patterns form runs there."""
+    arch = net.arch
+    start = int(rng.integers(1, arch.depth + 1))
+    rows = bool(rng.integers(2))
+    layers = []
+    for i, layer in enumerate(net.layers):
+        W, b = layer.W.copy(), layer.b.copy()
+        if i >= start and step_rows(arch, i - 1) is not None:
+            W[:, step_rows(arch, i - 1):] = 0.0
+        if rows and i == start - 1 and step_rows(arch, i) is not None:
+            W[step_rows(arch, i):] = 0.0
+            b[step_rows(arch, i):] = 0.0
+        layers.append(LayerParams(W, b, layer.V))
     return Network(arch, tuple(layers))
 
 

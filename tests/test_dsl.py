@@ -85,6 +85,36 @@ def test_a_tapless_skip_stage_stores_no_tap_matrix():
         assert [layer.V is not None for layer in net.layers] == [s > 0 for s in taps], case
 
 
+def test_a_carry_is_the_step_neuron_it_abbreviates():
+    # forward appends a previous-layer handle directly; its network is the
+    # one step({h: 1}, -1/2) builds, and every other handle gets _add's refusal
+    docs = []
+    for carry in (NetBuilder.forward, lambda nb, h: nb.step({h: 1.0}, bias=-0.5)):
+        nb = NetBuilder(2, NetworkKind.LIN)
+        nb.new_layer()
+        a, b = carry(nb, 1), nb.linear({0: 1.0})
+        nb.new_layer()
+        c, d = nb.step({b: 1.0}), carry(nb, a)
+        nb.new_layer()
+        nb.output([{carry(nb, c): 1.0, carry(nb, d): 2.0}], [0.0])
+        docs.append(to_document(nb.build()[0]))
+    assert docs[0] == docs[1]
+    nb = NetBuilder(2, NetworkKind.PLAIN)
+    with pytest.raises(InvalidInputError, match="add a layer before adding neurons"):
+        nb.forward(0)
+    nb.new_layer()
+    with pytest.raises(InvalidInputError, match="input coordinate 2 out of range"):
+        nb.forward(2)
+    a = nb.forward(1)
+    nb.new_layer()
+    b = nb.forward(a)
+    nb.new_layer()
+    for handle in (a, b + 1, -1):
+        with pytest.raises(InvalidInputError, match="non-adjacent handle"):
+            nb.forward(handle)
+    assert nb.forward(b) == b + 1
+
+
 def _gate_outputs(n, handles_of):
     """Outputs (AND, OR) of the gates over ``handles_of(bits)``, where
     ``bits`` are n binary neurons b_i = step(x_i - 1/2), at every point of

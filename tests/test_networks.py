@@ -25,7 +25,13 @@ from heavinet import (
 from heavinet.builders import binary_bit_extractor_lin, holder_approximator
 from heavinet.networks import _forward, issparse, pattern_stage, step_rows
 from heavinet.targets import TARGETS
-from netgen import APPROXIMATORS, approximator, position_sensitive_networks, random_network
+from netgen import (
+    APPROXIMATORS,
+    approximator,
+    input_free_suffix,
+    position_sensitive_networks,
+    random_network,
+)
 
 
 def _sparse_holder(target="x2", m=2, n=1):
@@ -412,11 +418,16 @@ def test_pattern_stage_of_each_kind():
         skip = random_network(NetworkKind.SKIP, rng)
         taps = [i for i, layer in enumerate(skip.layers) if layer.V is not None]
         assert pattern_stage(skip) == max(taps, default=0) + 1
+        # the carriers pass x on through stage L - 2, so stage L - 1 reads
+        # it exactly when the skip network taps there
         lifted = embed(skip, NetworkKind.LIN)
-        assert pattern_stage(lifted) == (lifted.arch.depth if lifted.arch.depth > 1 else 1)
+        L = lifted.arch.depth
+        want = 1 if L == 1 else L if skip.layers[L - 1].V is not None else max(L - 1, 1)
+        assert pattern_stage(lifted) == want
     assert pattern_stage(approximator("square(5,3)")[0]) == 4  # the product layer reads no tap
-    lin = approximator("holder(x2,lin,1,0,1)")[0]
-    assert pattern_stage(lin) == lin.arch.depth
+    # only the digit extractor's carriers hold x; the lin decoder's identity
+    # accumulators sum step bits
+    assert pattern_stage(approximator("holder(x2,lin,1,0,1)")[0]) == 6
 
 
 @pytest.mark.parametrize("name", APPROXIMATORS)
@@ -432,13 +443,17 @@ def test_dedup_matches_one_pass_on_random_networks(monkeypatch, kind, columns):
     # points runs that cross block boundaries
     if columns is not None:
         _blocks_of(monkeypatch, columns)
-    rng = np.random.default_rng(21)
+    # a lin network also runs with an input-free suffix, whose pattern
+    # stage comes before its last hidden layer (cut from its own stream)
+    rng, cut = np.random.default_rng(21), np.random.default_rng(24)
     for _ in range(25):
         net = random_network(kind, rng)
         X = rng.uniform(-1, 2, (300, net.arch.input_dim))
         ordered = X[np.lexsort(X.T[::-1])]
-        for points in (ordered, rng.permutation(X), np.repeat(ordered[:40], 9, axis=0)):
-            assert evaluate_batch(net, points).tobytes() == _one_pass(net, points).tobytes()
+        sets = (ordered, rng.permutation(X), np.repeat(ordered[:40], 9, axis=0))
+        for net in [net, input_free_suffix(net, cut)] if kind is NetworkKind.LIN else [net]:
+            for points in sets:
+                assert evaluate_batch(net, points).tobytes() == _one_pass(net, points).tobytes()
 
 
 @pytest.mark.parametrize("name", POSITION_SENSITIVE)

@@ -9,6 +9,7 @@ import pytest
 
 from heavinet import InvalidInputError, NetworkKind, evaluate, evaluate_batch
 from heavinet.analysis import exact_pieces, piece_bound, pieces, sampled_pieces
+from heavinet.analysis.bounds import _layer_ceilings
 from heavinet.analysis.pieces import (
     _flip_indices,
     _grid_values_dense,
@@ -25,8 +26,18 @@ from heavinet.builders import (
     square_approximator,
     xor_network,
 )
+from heavinet.builders.dsl import NetBuilder
+from heavinet.networks import pattern_stage, step_rows
 from heavinet.targets import TARGETS
-from netgen import position_sensitive_networks, random_network, random_segment
+from netgen import (
+    APPROXIMATORS,
+    approximator,
+    extractors,
+    input_free_suffix,
+    position_sensitive_networks,
+    random_network,
+    random_segment,
+)
 
 POSITION_SENSITIVE = position_sensitive_networks()
 
@@ -371,24 +382,107 @@ def test_sampled_counts_non_power_of_two_radix(radix, pieces):
 
 
 def test_propagation_checks_layer_ceiling():
-    # a plain network's regions are fixed by layer 1 (p_1 + 1 = 3 here); a
-    # split that still adds a boundary in layer 2 breaks the counting argument
-    net = hyperrectangle_indicator([0.2], [0.8]).net
-    assert net.arch.kind is NetworkKind.PLAIN and net.arch.depth == 2
+    # a skip network tapped at layer 2 still splits there, within
+    # (p_1 + 1)(s_2 + 1) = 6 regions; a split that doubles its 4 regions
+    # breaks the counting argument
+    nb = NetBuilder(1, NetworkKind.SKIP)
+    nb.new_layer()
+    lo, hi = nb.step({0: 1.0}, bias=-0.2), nb.step({0: -1.0}, bias=0.8)
+    nb.new_layer()
+    mid = nb.step({lo: 0.0}, bias=-0.5, inp={0: 1.0})
+    nb.output([{mid: 1.0}], [0.0])
+    net, _ = nb.build()
+    assert net.layers[1].V is not None and pattern_stage(net) == 2
     calls = []
 
     def split(A, S, cuts):
         calls.append(A)
         cuts, _ = _root_split(A, S, cuts)
         if len(calls) == 2:  # layer 2
-            cuts = np.sort(np.append(cuts, 0.5 * (cuts[0] + cuts[1])))
+            cuts = np.sort(np.concatenate([cuts, 0.5 * (cuts[:-1] + cuts[1:])]))
         return cuts, 0.5 * (cuts[:-1] + cuts[1:])
 
     with pytest.raises(AssertionError, match="after layer 2"):
         _propagate(net, np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]), split)
     cuts, _ = _propagate(net, np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]),
                          _root_split)
-    assert np.allclose(cuts, [0.0, 0.2, 0.8, 1.0])
+    assert np.allclose(cuts, [0.0, 0.2, 0.5, 0.8, 1.0])
+
+
+def _propagate_every_stage(net, x1, x2, bounds, split):
+    """The split loop on every hidden stage, as ``_propagate`` ran it before
+    it handed the stages from ``pattern_stage`` on to ``_forward``: the
+    oracle for its cuts and bits."""
+    arch = net.arch
+    dx = x2 - x1
+    H, Hs = x1[:, None], dx[:, None]
+    ceilings = _layer_ceilings(arch)
+    for i in range(arch.depth):
+        layer = net.layers[i]
+        A = np.asarray(layer.W @ H) - np.asarray(layer.b)[:, None]
+        S = np.asarray(layer.W[:, len(H) - len(Hs):] @ Hs) if len(Hs) \
+            else np.zeros_like(A)
+        if layer.V is not None:
+            A = A + np.asarray(layer.V @ x1)[:, None]
+            S = S + np.asarray(layer.V @ dx)[:, None]
+        p = step_rows(arch, i) or len(A)
+        new, ts = split(A[:p], S[:p], bounds)
+        parent = np.searchsorted(bounds, new[:-1], side="right") - 1
+        H, Hs = A[:, parent], S[p:, parent]
+        H[:p] = H[:p] + S[:p, parent] * ts >= 0.0
+        bounds = new
+        if len(bounds) - 1 > ceilings[i]:
+            raise AssertionError(
+                f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceilings[i]}")
+    return bounds, H
+
+
+def _assert_hand_off_matches_every_stage(monkeypatch, net, x1, x2, N=1000):
+    # both analyses: each _propagate call must give the oracle's cuts and
+    # bits byte for byte, and split only before the pattern stage
+    calls = []
+
+    def checked(net, x1, x2, bounds, split):
+        splits = []
+
+        def counted(A, S, cuts):
+            splits.append(len(A))
+            return split(A, S, cuts)
+
+        got = _propagate(net, x1, x2, bounds, counted)
+        assert len(splits) == pattern_stage(net)
+        want = _propagate_every_stage(net, x1, x2, bounds, split)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+        calls.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(pieces, "_propagate", checked)
+    exact_pieces(net, x1, x2)
+    sampled_pieces(net, x1, x2, N)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", list(NetworkKind))
+def test_hand_off_matches_every_stage_on_random_networks(monkeypatch, kind):
+    rng, cut = np.random.default_rng(25), np.random.default_rng(26)
+    for _ in range(30):
+        net = random_network(kind, rng)
+        x1, x2 = random_segment(rng, net.arch.input_dim)
+        for net in [net, input_free_suffix(net, cut)] if kind is NetworkKind.LIN else [net]:
+            _assert_hand_off_matches_every_stage(monkeypatch, net, x1, x2)
+
+
+@pytest.mark.parametrize("name", [a for a in APPROXIMATORS if a.startswith("holder")])
+def test_hand_off_matches_every_stage_on_the_holder_networks(monkeypatch, name):
+    net = approximator(name)[0]
+    d = net.arch.input_dim
+    _assert_hand_off_matches_every_stage(monkeypatch, net, np.zeros(d), np.ones(d))
+
+
+def test_hand_off_matches_every_stage_on_the_extractors(monkeypatch):
+    for net, _ in extractors().values():
+        _assert_hand_off_matches_every_stage(monkeypatch, net, np.zeros(1), np.ones(1))
 
 
 def test_run_compression_equals_dense_grid():

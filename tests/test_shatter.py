@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from heavinet import InvalidInputError, ResourceLimitError, evaluate_batch, validate
+from heavinet import InvalidInputError, ResourceLimitError, evaluate_batch, networks, validate
 from heavinet.analysis import shatter_verify, vc_upper_bound
 from heavinet.analysis.certify import labeling_outputs
 from heavinet.builders import CellGeometry, shatter_budgets, shatter_points, shattering_net
@@ -238,6 +238,11 @@ def test_chunking_over_labelings_and_points_keeps_the_certificate(monkeypatch):
     whole = [shatter_verify("skip", 1, 1).to_document(),
              shatter_verify("lin", 1, 1, 1, sample_labelings=40, seed=2).to_document()]
     monkeypatch.setattr(certify, "LABELING_CHUNK_ELEMENTS", 50)  # 2 points, 1 labeling
+    assert [shatter_verify("skip", 1, 1).to_document(),
+            shatter_verify("lin", 1, 1, 1, sample_labelings=40, seed=2).to_document()] == whole
+    # prefixes held for 3 points at a time: a group ends inside a pass
+    monkeypatch.setattr(networks, "BLOCK_FLOATS", 0)
+    monkeypatch.setattr(networks, "BLOCK_MIN_COLUMNS", 3)
     assert [shatter_verify("skip", 1, 1).to_document(),
             shatter_verify("lin", 1, 1, 1, sample_labelings=40, seed=2).to_document()] == whole
     fill = ShatterTemplate.fill
