@@ -86,7 +86,7 @@ def labeling_outputs(template: ShatterTemplate, labelings, x: np.ndarray | None 
     """Network output for every labeling row at the (points, 1) matrix
     ``x``, all of the template's points by default; shape (labelings,
     points).  ``head`` is ``_prefix(template, x)`` and ``filled`` the
-    list of ``template.fill(labelings)`` if already computed."""
+    stage map ``template.fill(labelings)`` if already computed."""
     net = template.net
     if x is None:
         x = template.points[:, None]
@@ -177,7 +177,7 @@ def shatter_verify(kind: str, m: int, n: int, t: int = 0,
         for lo in range(0, tried, chunk):
             hi = min(lo + chunk, tried)
             lam = labeling_rows(lo, hi)
-            filled = list(template.fill(lam))
+            filled = template.fill(lam)
             for p0 in range(0, len(x), block):
                 p1 = min(p0 + block, len(x))
                 realized = labeling_outputs(template, lam, x[p0:p1], heads[:, p0:p1],

@@ -13,7 +13,9 @@ of zero-weight terms, and the region count, which has met its ceiling so
 far, stays constant through the later layers.  Those stages run as one
 ``networks._forward`` pass over the regions' intercepts.
 
-``exact_pieces`` splits at the exact roots of the affine pre-activations.
+``exact_pieces`` splits at the float roots of the affine pre-activations
+and merges two cuts only when they are the same float (``_root_split``),
+so a piece of any width and a segment of any length keep their cuts.
 Piece values are read from direct evaluation at representative
 midpoints, and the propagated activation pattern must match the evaluated
 last hidden layer there exactly.  Adjacent pieces carrying the same output
@@ -74,7 +76,6 @@ from .bounds import _layer_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
 
-MERGE_TOL = 1e-12
 # most points a refinement round of sampled_pieces evaluates, unless one
 # level of bisection already has more: enough to spare most rounds' fixed
 # cost on a small network, few enough that a large one's points stay cheap
@@ -180,16 +181,20 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
 
 
 def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
-    """Exact roots of the step pre-activations inside each region, cuts
-    closer than ``MERGE_TOL`` merged; regions are represented by midpoints."""
+    """The float roots ``-A / S`` of the step pre-activations that lie
+    strictly inside their region, added to the cuts; regions are
+    represented by midpoints.
+
+    Two cuts merge only when they are the same float, so no tolerance
+    decides what a piece is: a piece of any width, or of a segment of any
+    length, keeps its cuts.  Roots of different neurons that round to
+    adjacent floats stay two cuts; the region between them holds no float
+    of its own, and its midpoint is one of its ends."""
     rows, cols = np.nonzero(S)
     roots = -A[rows, cols] / S[rows, cols]
-    new_roots = roots[(roots > cuts[cols] + MERGE_TOL) & (roots < cuts[cols + 1] - MERGE_TOL)]
-    if new_roots.size:
-        merged = np.sort(np.concatenate([cuts, new_roots]))
-        keep = np.concatenate([[True], np.diff(merged) > MERGE_TOL])
-        cuts = merged[keep]
-        cuts[0], cuts[-1] = 0.0, 1.0
+    new = roots[(roots > cuts[cols]) & (roots < cuts[cols + 1])]
+    if new.size:  # union1d sorts even when there is nothing to add
+        cuts = np.union1d(cuts, new)
     return cuts, 0.5 * (cuts[:-1] + cuts[1:])
 
 

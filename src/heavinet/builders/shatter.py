@@ -160,23 +160,26 @@ class ShatterTemplate:
                            self.col[weight], bias, self.row[bias]))
         return tuple(stages)
 
-    def fill(self, labelings):
+    def fill(self, labelings) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Weights of the payload-dependent stages for each labeling row.
 
-        Yields ``(stage, W, b)`` in stage order, with shapes (labelings,
-        out, in) and (labelings, out), each a copy of the stage's dense base
-        with the labelings' entries filled in.  Each is bit-identical to
-        the stage of the literal ``shattering_net`` build of each labeling:
-        every sum is of distinct powers of two, hence exact.
+        Maps each such stage to ``(W, b)`` with shapes (labelings, out, in)
+        and (labelings, out), each a copy of the stage's dense base with
+        the labelings' entries filled in: the stage overrides
+        ``networks._forward`` takes.  Each is bit-identical to the stage of
+        the literal ``shattering_net`` build of each labeling: every sum is
+        of distinct powers of two, hence exact.
         """
         labelings = np.asarray(labelings, dtype=float)
         vals = np.add.reduceat(labelings[:, self.site_cell] * self.site_coef, self.starts, axis=1)
+        filled = {}
         for stage, W, b, weight, rows, cols, bias, bias_rows in self._stages:
             W = np.repeat(W[None], len(labelings), axis=0)
             b = np.repeat(b[None], len(labelings), axis=0)
             W[:, rows, cols] += vals[:, weight]
             b[:, bias_rows] -= vals[:, bias]  # stages compute W h - b
-            yield stage, W, b
+            filled[stage] = W, b
+        return filled
 
 
 def shatter_template(kind: str, m: int, n: int, t: int = 0) -> ShatterTemplate:

@@ -296,27 +296,21 @@ def _product(W, h: np.ndarray) -> np.ndarray:
 
 
 def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
-             filled=(), trace: list | None = None) -> np.ndarray:
+             filled: dict | None = None, trace: list | None = None) -> np.ndarray:
     """Affine stages ``lo..hi-1`` of ``net`` on column-stacked activations.
 
     ``h`` is (width, n), or (labelings, width, n) when every labeling has
     its own; ``x`` is the (input, n) matrix the skip taps read.  ``filled``
-    yields ``(stage, W, b)`` in stage order: that stage uses the
-    (labelings, out, in) weight tensor and (labelings, out) bias instead of
-    its own.  Hidden activations are appended to ``trace`` if given.
+    maps a stage to ``(W, b)``: that stage uses the (labelings, out, in)
+    weight tensor and (labelings, out) bias instead of its own.  Hidden
+    activations are appended to ``trace`` if given.
     """
     arch = net.arch
     L = arch.depth
-    pending = None
-    if filled:
-        filled = iter(filled)
-        pending = next(filled, None)
+    filled = filled or {}
     for i in range(lo, hi):
         layer = net.layers[i]
-        W, b = layer.W, layer.b
-        if pending is not None and pending[0] == i:
-            _, W, b = pending
-            pending = next(filled, None)
+        W, b = filled.get(i, (layer.W, layer.b))
         tail = h.shape[-1] % OUTPUT_COLUMN_MULTIPLE if i == L else 0
         if tail:
             # the leftover columns go through a product padded with zero
@@ -411,6 +405,11 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
     ws = net.arch.augmented_widths()
     first = pattern_stage(net)
     if first >= L:
+        # not folded into the run path below: that path gathers run heads
+        # as h[:, mark], a Fortran-ordered copy, and at first == L the copy
+        # goes straight into the output stage, whose product BLAS then sums
+        # in another order; the non-dyadic extractors' outputs would move by
+        # an ulp or two (test_batch_independent_single_point_rows)
         parts = [_forward(net, part, part, 0, L + 1).T for part in _blocks(cols, ws)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
     # the prefix marks each column whose pattern differs from the column

@@ -84,6 +84,10 @@ def test_lin_extractor_examples():
 def test_lin_extractor_rejects_deep():
     with pytest.raises(PrecisionError):
         binary_bit_extractor_lin(53)
+    with pytest.raises(InvalidInputError, match="L must be >= 1"):
+        binary_bit_extractor_lin(0)
+    with pytest.raises(InvalidInputError, match="unknown variant 'tall'"):
+        binary_bit_extractor_lin(3, "tall")
 
 
 def test_extractor_probes_on_dense_grid():

@@ -65,6 +65,8 @@ def test_vc_precondition_flag():
     assert vc_upper_bound(narrow) is None
     ragged = Architecture(NetworkKind.PLAIN, (1, 3, 5, 1))
     assert vc_upper_bound(ragged) is None
+    uneven = Architecture(NetworkKind.SKIP, (1, 8, 8, 8, 1), (1, 2))
+    assert vc_upper_bound(uneven) is None
     rep = bound_report(narrow)
     assert rep.vc_upper_bound is None and "precondition" in rep.note
 

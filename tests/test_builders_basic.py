@@ -43,6 +43,8 @@ def test_rect_matches_oracle_with_boundaries():
 def test_rect_rejects_inverted_box():
     with pytest.raises(InvalidInputError):
         hyperrectangle_indicator([0.5], [0.2])
+    with pytest.raises(InvalidInputError, match="equal-length"):
+        hyperrectangle_indicator([0.1, 0.2], [0.5])
 
 
 def test_parity_sign_product():
@@ -93,6 +95,21 @@ def test_pc1d_round_trip_dyadic_specs():
 def test_pc1d_rejects_unsorted():
     with pytest.raises(InvalidInputError):
         PieceSpec((0.7, 0.3), (1, 1), (0.0, 1.0, 2.0))
+    for spec, message in [(((0.5,), (1,), (0.0,)), "p breakpoints"),
+                          (((0.5,), (0,), (0.0, 1.0)), "sides"),
+                          (((1.5,), (1,), (0.0, 1.0)), r"lie in \[0, 1\]")]:
+        with pytest.raises(InvalidInputError, match=message):
+            PieceSpec(*spec)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: parity_network(0), "d must be >= 1"),
+    (lambda: lipschitz_grid_approx(lambda X: X[:, 0], 1, 0), "p1 must be >= 1"),
+    (lambda: lipschitz_grid_approx(lambda X: X[:, 0], 0, 2), "d must be >= 1"),
+], ids=["parity-d", "grid-p1", "grid-d"])
+def test_size_arguments_refused(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
 
 
 def test_grid_approx_examples():

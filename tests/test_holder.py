@@ -139,6 +139,15 @@ def test_config_validation():
     loose["bounds"] = {(0,): 1.0}  # missing an index
     with pytest.raises(InvalidInputError):
         holder_approximator("skip", HolderConfig(**loose))
+    with pytest.raises(InvalidInputError, match="beta must be positive"):
+        holder_approximator("skip", HolderConfig(**{**SQUARE_CFG, "beta": 0.0}))
+    with pytest.raises(InvalidInputError, match="takes no t"):
+        holder_approximator("skip", HolderConfig(**SQUARE_CFG, t=1))
+    with pytest.raises(InvalidInputError, match="unknown kind 'plain'"):
+        holder_approximator("plain", HolderConfig(**SQUARE_CFG))
+    for d, beta in [(0, 2.0), (1, 0.0)]:
+        with pytest.raises(InvalidInputError, match="multi indices"):
+            multi_indices(d, beta)
 
 
 def test_oracle_exceeding_bound_rejected():

@@ -67,6 +67,8 @@ def test_single_neuron_boundary():
     net = _single_neuron_net()
     assert evaluate(net, [0.0])[0] == 1.0
     assert evaluate(net, [-1e-300])[0] == 0.0
+    # a vector is that many points of a one-input network
+    assert evaluate_batch(net, np.array([0.0, -1e-300])).tolist() == [[1.0], [0.0]]
 
 
 def test_evaluate_rejects_bad_input():
@@ -187,9 +189,15 @@ def test_embedding_equality_exact():
     for _ in range(40):
         net = random_network(NetworkKind.SKIP, rng)
         X = rng.uniform(-1, 2, (50, net.arch.input_dim))
-        lifted = embed(net, NetworkKind.LIN)
-        assert validate(lifted) == []
-        assert np.array_equal(evaluate_batch(net, X), evaluate_batch(lifted, X))
+        # the same network with its taps stored sparse beside dense weights
+        tapped_sparse = Network(net.arch, tuple(
+            LayerParams(layer.W, layer.b, None if layer.V is None else sp.csr_matrix(layer.V))
+            for layer in net.layers))
+        for source in (net, tapped_sparse):
+            lifted = embed(source, NetworkKind.LIN)
+            assert validate(lifted) == []
+            assert not any(issparse(layer.W) for layer in lifted.layers)
+            assert np.array_equal(evaluate_batch(net, X), evaluate_batch(lifted, X))
 
 
 def test_embed_identity_and_unsupported():

@@ -71,6 +71,56 @@ def test_rect_diagonal_three_pieces():
     assert part.values[:, 0].tolist() == [0.0, 1.0, 0.0]
 
 
+NARROW_WIDTHS = {"1e-11": 1e-11, "1e-12": 1e-12, "2^-45": 2.0**-45, "1e-15": 1e-15}
+
+
+@pytest.mark.parametrize("w", NARROW_WIDTHS.values(), ids=NARROW_WIDTHS)
+def test_narrow_box_keeps_both_cuts(w):
+    # a box narrower than any fixed tolerance in t is still its own piece
+    net = hyperrectangle_indicator([0.5], [0.5 + w]).net
+    part = exact_pieces(net, [0.0], [1.0])
+    assert part.piece_count == 3
+    assert part.breakpoints.tolist() == [0.5, 0.5 + w]
+    assert part.side_flags.tolist() == [1, -1]
+    assert part.values[:, 0].tolist() == [0.0, 1.0, 0.0]
+    assert part.value_at(0.5 + w / 2).tolist() == evaluate(net, [0.5 + w / 2]).tolist() == [1.0]
+    assert sampled_pieces(net, [0.0], [1.0], 1000) == 3
+
+
+@pytest.mark.parametrize("slope", [3.0, 7.0])
+def test_roots_on_adjacent_floats_read_as_evaluation(slope):
+    # step(x - 0.1) and step(slope x - slope/10) cross at 0.1 and at the
+    # float just below it; that float is a single-point piece of its own
+    nb = NetBuilder(1, NetworkKind.PLAIN)
+    nb.new_layer()
+    lo = nb.step({0: 1.0}, bias=-0.1)
+    hi = nb.step({0: slope}, bias=-slope / 10)
+    nb.output([{lo: 1.0, hi: 2.0}], [0.0])
+    net, _ = nb.build()
+    roots = [0.1, float(np.nextafter(0.1, 0.0))]
+    assert roots[1] == np.float64(slope / 10) / slope
+    part = exact_pieces(net, [0.0], [1.0])
+    assert part.piece_count == 3
+    assert part.breakpoints.tolist() == [roots[1]] and part.side_flags.tolist() == [0]
+    assert part.point_values[roots[1]].tolist() == [2.0]
+    _assert_value_at_is_the_evaluation(part, net, [0.0], [1.0], probes=roots, neighbours=True)
+
+
+@pytest.mark.parametrize("target, kind, m, n, t, pieces", [
+    ("x2", "skip", 1, 0, None, 16),
+    ("x2", "lin", 1, 0, 1, 64),
+    ("x3mx", "skip", 1, 1, None, 512),
+])
+def test_long_segment_keeps_every_piece(target, kind, m, n, t, pieces):
+    # over [0, 10^12] every piece on [0, 1] lies within t < 10^-12
+    net = holder_approximator(kind, TARGETS[target].holder_config(m, n, t)).net
+    assert exact_pieces(net, [0.0], [1.0]).piece_count == pieces
+    part = exact_pieces(net, [0.0], [1e12])
+    assert part.piece_count == pieces
+    assert sampled_pieces(net, [0.0], [1e12], 10_000) <= part.piece_count
+    _assert_value_at_is_the_evaluation(part, net, [0.0], [1e12])
+
+
 @pytest.mark.parametrize("breakpoints, sides, values, interior, point_values", [
     ((0.0,), (-1,), (1.0, 2.0), 2.0, {0.0: 1.0}),
     ((1.0,), (1,), (1.0, 2.0), 1.0, {1.0: 2.0}),
@@ -554,6 +604,48 @@ def test_exact_pieces_soundness_randomized():
             part = exact_pieces(net, x1, x2)
             assert part.piece_count <= bound
             assert sampled_pieces(net, x1, x2, 50_000) <= part.piece_count
+            _assert_value_at_is_the_evaluation(part, net, x1, x2)
+
+
+def _assert_value_at_is_the_evaluation(part, net, x1, x2, probes=(), neighbours=False):
+    """``part.value_at`` equals evaluation at every piece midpoint and at
+    ``probes``; with ``neighbours``, also at every cut float and at the
+    float on either side of it.  Evaluation is batched: a point's output
+    is the same float in any batch, as in ``evaluate``.
+
+    Off the constructions on [0, 1], the root ``-A / S`` and the
+    pre-activation evaluated at x(t) round apart, so a neighbour of a cut
+    can land on the other side: only midpoints are checked there."""
+    edges = np.concatenate([[0.0], part.breakpoints, [1.0]])
+    ts = [0.5 * (edges[:-1] + edges[1:]), np.asarray(probes, dtype=float)]
+    if neighbours:
+        cuts = np.concatenate([part.breakpoints, list(part.point_values)])
+        ts += [cuts, np.nextafter(cuts, -np.inf), np.nextafter(cuts, np.inf)]
+    ts = np.concatenate(ts)
+    ts = ts[(ts >= 0.0) & (ts <= 1.0)]
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    want = evaluate_batch(net, (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :])
+    got = np.array([part.value_at(t) for t in ts])
+    bad = np.flatnonzero(np.any(got != want, axis=1))
+    assert bad.size == 0, f"value_at differs from evaluation at t={ts[bad].tolist()[:5]}"
+
+
+CONSTRUCTIONS = {
+    **{name: (lambda name=name: approximator(name)[0]) for name in APPROXIMATORS},
+    **{name: (lambda name=name: extractors()[name][0]) for name in extractors()},
+    **{f"box({name})": (lambda w=w: hyperrectangle_indicator([0.5], [0.5 + w]).net)
+       for name, w in NARROW_WIDTHS.items()},
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_value_at_is_the_evaluation_beside_every_cut(name):
+    # the constructions on [0, 1] put every cut exactly where evaluation
+    # switches, so the floats on either side of a cut read its two pieces
+    net = CONSTRUCTIONS[name]()
+    d = net.arch.input_dim
+    part = exact_pieces(net, np.zeros(d), np.ones(d))
+    _assert_value_at_is_the_evaluation(part, net, np.zeros(d), np.ones(d), neighbours=True)
 
 
 def test_vector_valued_outputs():

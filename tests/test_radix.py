@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavinet import InvalidInputError, PrecisionError, mixed_radix_digits
-from heavinet.radix import binary_digits, binary_digits_array, check_radix, radix_products
+from heavinet.radix import (
+    DigitVector,
+    binary_digits,
+    binary_digits_array,
+    check_radix,
+    radix_products,
+)
 
 
 def test_hand_values():
@@ -46,6 +52,15 @@ def test_domain_and_radix_validation():
         mixed_radix_digits(0.5, (1, 2))
     with pytest.raises(InvalidInputError):
         mixed_radix_digits(0.5, (2,) * 53)
+    with pytest.raises(InvalidInputError, match="empty"):
+        check_radix(())
+    with pytest.raises(InvalidInputError, match=r"digit 3 outside \[0, 2\]"):
+        DigitVector((3, 2), (3, 0))
+    with pytest.raises(InvalidInputError, match="nbits=0"):
+        binary_digits_array([0.5], 0)
+    for x in (-0.25, 1.5):
+        with pytest.raises(InvalidInputError, match=r"outside \[0, 1\]"):
+            binary_digits_array([0.5, x], 4)
 
 
 def test_check_radix_stops_at_the_first_prefix_past_the_budget():

@@ -52,6 +52,9 @@ def test_non_binary_labels_refused(value):
     with pytest.raises(InvalidInputError) as err:
         labels_to_table(CellGeometry("skip", 1, 1, 0), [0, value, 0, 1])
     assert str(err.value) == "payload entries must be 0 or 1"
+    with pytest.raises(InvalidInputError) as err:
+        labels_to_table(CellGeometry("skip", 1, 1, 0), [0, value, 0])
+    assert str(err.value) == "labeling needs 4 entries"
 
 
 @pytest.mark.parametrize("labeling", [[0, 1.0, 0, 1], [False, True, False, True],
@@ -185,7 +188,7 @@ def test_filled_template_is_the_literal_build(geometry):
     rng = np.random.default_rng(CERTIFY_GEOMETRIES.index(geometry))
     lams = np.concatenate([np.zeros((1, npts), dtype=int), np.ones((1, npts), dtype=int),
                            rng.integers(0, 2, (4, npts))])
-    filled = {stage: (W, b) for stage, W, b in template.fill(lams)}
+    filled = template.fill(lams)
     outputs = labeling_outputs(template, lams)
     for n, lam in enumerate(lams):
         literal, points = shattering_net(*geometry, lam)
