@@ -225,8 +225,9 @@ def _eval_at(net: Network, x1, x2, ts: np.ndarray):
     (width, points) and its keys at the parameters ``ts``.
 
     One block through ``networks._forward`` with no trace, split before
-    the output stage as ``evaluate_batch`` splits its suffix: the same
-    floats as a traced ``evaluate_batch``, without holding every layer.
+    the output stage, which reads the C-ordered last hidden layer as it
+    would in a traced ``evaluate_batch``: the same floats, without holding
+    every layer.
     """
     cols = _checked_points(net, (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :]).T
     L = net.arch.depth

@@ -36,7 +36,7 @@ def check_grid_size(total: int) -> None:
 def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]:
     """Per-axis coordinates: a uniform grid of ``per_axis`` intervals on
     [0, 1] (endpoints included) plus any declared breakpoints, deduplicated
-    and sorted."""
+    and sorted; a breakpoint must be finite and in [0, 1]."""
     if per_axis is None:
         # past 21 axes even two points per axis exceed the cap, which refuses them
         per_axis = max(1, min(DEFAULT_AXIS_POINTS, int(TOTAL_POINT_CAP ** (1.0 / d)) - 1))
@@ -45,6 +45,8 @@ def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]
     base = np.linspace(0.0, 1.0, per_axis + 1)
     extra = np.asarray(list(extra), dtype=float)
     if extra.size:
+        if not np.all(np.isfinite(extra)):
+            raise InvalidInputError("extra grid points must be finite")
         if np.any((extra < 0) | (extra > 1)):
             raise InvalidInputError("extra grid points must lie in [0, 1]")
         base = np.unique(np.concatenate([base, extra]))
@@ -80,7 +82,8 @@ def sup_error(net: Network, f0, per_axis: int | None = None, extra=()) -> SupErr
     ``f0`` maps an (n, d) array of points to n values.  The grid is
     ``axis_grid(d, per_axis, extra)``: ``extra`` inserts declared
     breakpoints into every axis.  Ties in the maximum resolve to the lowest
-    grid index; the grid is enumerated last-axis-fastest.
+    grid index; the grid is enumerated last-axis-fastest.  A target that is
+    not finite at a grid point is refused, naming the first such point.
     """
     axes = axis_grid(net.arch.input_dim, per_axis, extra)
     total = len(axes[0]) ** len(axes)
@@ -91,6 +94,10 @@ def sup_error(net: Network, f0, per_axis: int | None = None, extra=()) -> SupErr
     for block in grid_blocks(axes):
         out = evaluate_batch(net, block)[:, 0]
         target = np.asarray(f0(block), dtype=float).reshape(-1)
+        finite = np.isfinite(target)
+        if not finite.all():
+            raise InvalidInputError(
+                f"sup_error: target is not finite at grid point {block[np.argmin(finite)].tolist()}")
         err = np.abs(out - target)
         i = int(np.argmax(err))
         if err[i] > best_val:

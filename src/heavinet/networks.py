@@ -30,8 +30,8 @@ widest stage they pass.  The pattern stage (``pattern_stage``) is one past
 the last stage that reads the input: through the taps, or through an
 identity neuron whose value depends on it.  From there on a point's column
 is a function of its step bits and of identity values that do not depend
-on the input, so only the first point of each run of equal adjacent
-columns goes through the later stages.
+on the input, so of each block only the first point of each run of equal
+adjacent columns goes on through the later stages.
 
 A ``Network`` is valid for its whole life.  Constructing one runs
 ``validate``, the one statement of the rules of each class, and raises
@@ -374,27 +374,27 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
     """Evaluate at many points, rows of ``X``; returns an (n, p_out) array.
 
     With ``with_trace`` the hidden activation matrices (width x n) are
-    returned as well, and the batch is one block.  Without a trace it runs
-    in blocks of columns sized to ``BLOCK_FLOATS`` over the widest stage
-    they pass, at least ``BLOCK_MIN_COLUMNS``, so a block's activations
-    stay in cache.  Stages before ``pattern_stage`` run on every point, in
-    blocks sized over the widest of their widths.  Past it a point's
-    column is a function of its step bits and of input-free identity
-    values, so each run of adjacent points with equal columns there is
-    evaluated once, at its first point, and the run heads go through the
-    remaining stages in blocks sized over the widest of those; an ordered
-    grid has few runs.  Equal columns may differ in the sign of a zero
-    identity value, which cannot reach the output (see
-    ``pattern_stage``).  When the pattern stage is the output stage, every
-    stage runs on every point.
+    returned as well, and the batch is one block.  Without a trace it is
+    one loop over blocks of columns sized to ``BLOCK_FLOATS`` over the
+    widest of the stages before ``pattern_stage``, at least
+    ``BLOCK_MIN_COLUMNS``, so a block's activations stay in cache.  Past
+    the pattern stage a point's column is a function of its step bits and
+    of input-free identity values, so of each run of adjacent points with
+    equal columns there only the first point goes on: each block's run
+    heads go through the remaining stages in blocks sized over the widest
+    of those, and an ordered grid has few runs.  Equal columns may differ
+    in the sign of a zero identity value, which cannot reach the output
+    (see ``pattern_stage``).
 
     A point's output is the same float whatever the batch, the block or
     its column, here or in ``evaluate``: the output stage multiplies the
     columns left over after the last multiple of ``OUTPUT_COLUMN_MULTIPLE``
     in a product padded with zero columns, so BLAS sums every column in one
     order, and a run head's output is the one every point of its run
-    would get.  Hidden stages need no padding; the tests compare whole
-    passes bit for bit at several block sizes.
+    would get.  The run heads are gathered C-ordered, as any block is
+    laid out: BLAS sums a Fortran-ordered copy in another order.  Hidden
+    stages need no padding; the tests compare whole passes bit for bit at
+    several block sizes.
     """
     cols = _checked_points(net, X).T
     n = cols.shape[1]
@@ -404,21 +404,12 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
         return _forward(net, cols, cols, 0, L + 1, trace=trace).T, trace
     ws = net.arch.augmented_widths()
     first = pattern_stage(net)
-    if first >= L:
-        # not folded into the run path below: that path gathers run heads
-        # as h[:, mark], a Fortran-ordered copy, and at first == L the copy
-        # goes straight into the output stage, whose product BLAS then sums
-        # in another order; the non-dyadic extractors' outputs would move by
-        # an ulp or two (test_batch_independent_single_point_rows)
-        parts = [_forward(net, part, part, 0, L + 1).T for part in _blocks(cols, ws)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-    # the prefix marks each column whose pattern differs from the column
-    # before it (a NaN column before the first), and its run heads go to the
-    # suffix in blocks of `step` columns, the held rest carried over
-    step = _block_columns(ws[first:])
+    # each prefix block marks the columns whose pattern differs from the
+    # column before it (a NaN column before the first), and those run heads
+    # go on through the suffix
     fresh = np.empty(n, dtype=bool)
     last = np.full((ws[first], 1), np.nan)
-    outs, heads, held, at = [], [], 0, 0
+    outs, at = [], 0
     for part in _blocks(cols, ws[:first + 1]):
         h = _forward(net, part, part, 0, first)
         mark = fresh[at:at + h.shape[1]]
@@ -426,17 +417,9 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
         np.any(h[:, :1] != last, axis=0, out=mark[:1])
         np.any(h[:, 1:] != h[:, :-1], axis=0, out=mark[1:])
         last = h[:, -1:].copy()
-        heads.append(h[:, mark])
-        held += heads[-1].shape[1]
+        heads = np.compress(mark, h, axis=1)  # C-ordered, unlike h[:, mark]
         del h  # so two blocks are never alive at once
-        if held > step:
-            # keep 1..step columns held, so the last suffix block is never empty
-            ready = np.concatenate(heads, axis=1)
-            cut = (held - 1) // step * step
-            outs += [_forward(net, ready[:, lo:lo + step], None, first, L + 1)
-                     for lo in range(0, cut, step)]
-            heads, held = [ready[:, cut:]], held - cut
-    outs.append(_forward(net, np.concatenate(heads, axis=1), None, first, L + 1))
+        outs += [_forward(net, block, None, first, L + 1) for block in _blocks(heads, ws[first:])]
     starts = np.flatnonzero(fresh)
     return np.repeat(np.concatenate(outs, axis=1).T, np.diff(starts, append=n), axis=0)
 

@@ -491,15 +491,15 @@ def test_dedup_suffix_sees_run_heads_only(monkeypatch):
     assert seen[0] == 100_001 and 0 < seen[first] <= 256
 
 
-def test_dedup_peak_memory_is_no_higher_than_every_stage_on_every_point(monkeypatch):
+def test_dedup_peak_memory_is_no_higher_than_every_stage_on_every_point():
+    # the reference runs every stage on every point in blocks of
+    # BLOCK_FLOATS over the widest stage and stacks the blocks' outputs
     net = approximator("square(5,3)")[0]
     X = np.linspace(0, 1, 100_001)[:, None]
     peaks = []
-    for stage in (None, net.arch.depth + 1):
-        if stage is not None:  # no pattern suffix: every stage in blocks
-            monkeypatch.setattr(networks, "pattern_stage", lambda net: stage)
+    for run in (evaluate_batch, lambda net, X: _one_pass(net, X, networks.BLOCK_FLOATS)):
         tracemalloc.start()
-        evaluate_batch(net, X)
+        run(net, X)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] <= peaks[1]

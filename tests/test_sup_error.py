@@ -54,6 +54,22 @@ def test_default_grid_respects_budget():
         axis_grid(1, extra=[1.5])
 
 
+def test_non_finite_target_refused_at_its_first_grid_point():
+    # NaN compares false with every error, so unrefused it would read as no error
+    net = square_approximator(3, 2, (2, 0)).net
+    for below, above, first in ((np.nan, 0.0, "0.0"), (0.0, np.inf, "0.5"), (0.0, -np.inf, "0.5")):
+        with pytest.raises(InvalidInputError, match=rf"not finite at grid point \[{first}\]"):
+            sup_error(net, lambda X: np.where(X[:, 0] < 0.5, below, above), per_axis=10)
+
+
+def test_non_finite_breakpoint_refused():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="extra grid points must be finite"):
+            axis_grid(1, 10, [bad])
+        with pytest.raises(InvalidInputError, match="extra grid points must be finite"):
+            sup_error(xor_network().net, lambda X: np.zeros(len(X)), per_axis=10, extra=[0.5, bad])
+
+
 def test_grid_over_the_cap_is_a_resource_limit():
     from heavinet.analysis.sup import check_grid_size
 
