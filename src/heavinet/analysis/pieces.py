@@ -7,20 +7,21 @@ neuron and region: the inputs and the identity neurons of a lin network
 carry a slope, a step neuron's bit is constant.  A stage maps the pairs
 to its pre-activations, each step neuron splits a region at most once,
 and the region count stays within the paper's layer-wise ceiling.  Only
-the split differs.  Splitting stops at ``networks.pattern_stage``: no
-stage from there on reads the input, so every slope it computes is a sum
-of zero-weight terms, and the region count, which has met its ceiling so
-far, stays constant through the later layers.  Those stages run as one
-``networks._forward`` pass over the regions' intercepts.
+the split differs.  Propagation ends at ``networks.pattern_stage``: no
+stage from there on reads the input, so every slope it would compute is a
+sum of zero-weight terms, and the region count, which has met its ceiling
+so far, would stay constant through the later layers.  It hands off the
+regions' columns at that stage and never runs the later ones.
 
 ``exact_pieces`` splits at the float roots of the affine pre-activations
 and merges two cuts only when they are the same float (``_root_split``),
 so a piece of any width and a segment of any length keep their cuts.
 Piece values are read from direct evaluation at representative
-midpoints, and the propagated activation pattern must match the evaluated
-last hidden layer there exactly.  Adjacent pieces carrying the same output
-merge, and each surviving breakpoint gets a side flag from evaluation at
-the breakpoint itself: +1 if it matches the right piece, -1 the left.  When
+midpoints, and the hand-off must match direct evaluation at the pattern
+stage there exactly, on every row that stage weighs.  Adjacent pieces
+carrying the same output merge, and each surviving breakpoint gets a side
+flag from evaluation at the breakpoint itself: +1 if it matches the right
+piece, -1 the left.  When
 several neurons cross at one parameter with conflicting inclusion sides,
 the breakpoint's own value can match neither neighbor; such single-point
 pieces are kept in ``point_values`` (the two-dimensional sign-flip pattern
@@ -50,11 +51,14 @@ tested: sameness is then exact output equality.  Otherwise
 ``_same_value`` need not be transitive, and a round can keep fewer
 sub-gaps than bisection would count.
 
-Both analyses evaluate through ``_eval_at``: one untraced pass that keeps
-the outputs and the last hidden layer only, with the same floats as a
-traced ``evaluate_batch``.  They judge sameness of evaluated parameters by
-one elementwise rule, ``_same_value``, on the outputs and one packed key
-per parameter, the last hidden layer's bits as bytes (``_pattern_keys``).
+Both analyses evaluate through ``_eval_at``: one untraced pass with the
+same floats as a traced ``evaluate_batch``, whose stages past the pattern
+stage run once per run of equal columns there, marked by the rule
+``evaluate_batch`` uses (``networks._run_heads``).  Their parameters come
+in increasing t, so a piece's parameters form few runs.  They judge
+sameness of evaluated parameters by one elementwise rule, ``_same_value``,
+on the outputs and one packed key per parameter, the last hidden layer's
+bits as bytes (``_pattern_keys``).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from ..networks import (
     Network,
     _checked_points,
     _forward,
+    _run_heads,
     evaluate_batch,
     pattern_stage,
     step_rows,
@@ -135,7 +140,8 @@ class SegmentPartition:
 
 
 def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray, split):
-    """Final region boundaries and the last hidden layer's bits per region.
+    """Final region boundaries and the hand-off: each region's column at
+    ``pattern_stage(net)``.
 
     Each level is carried as intercepts ``H`` (every row) and slopes ``Hs``
     (the trailing rows that have one), a column per region: on region r
@@ -147,12 +153,15 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
     parent's state is read.  After each stage the region count may not
     exceed the paper's layer-wise ceiling, ``bounds._layer_ceilings``.
 
-    The split loop runs on the stages before ``pattern_stage(net)`` only.
-    The stages from there on read no input and give every step
-    pre-activation a zero slope, so nothing splits and the count stays
-    within the later ceilings (every factor is at least 1); the loop hands
-    its intercepts to ``_forward``, which gives the last hidden layer's
-    bits, those of the every-stage loop bit for bit.
+    The split loop runs on the stages before ``pattern_stage(net)`` only,
+    and returns the intercepts ``H`` it reaches there.  The stages from
+    there on read no input and give every step pre-activation a zero
+    slope, so nothing would split and the count stays within the later
+    ceilings (every factor is at least 1).  The pattern stage weighs none
+    of the identity rows handed to it (the rule that places it), so those
+    keep their t = 0 intercepts, and ``_forward`` from the pattern stage
+    takes ``H`` to the last hidden bits of the every-stage loop, bit for
+    bit.
     """
     arch = net.arch
     dx = x2 - x1
@@ -177,7 +186,7 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
         if len(bounds) - 1 > ceilings[i]:
             raise AssertionError(
                 f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceilings[i]}")
-    return bounds, _forward(net, H, None, first, arch.depth)
+    return bounds, H
 
 
 def _root_split(A: np.ndarray, S: np.ndarray, cuts: np.ndarray):
@@ -221,18 +230,34 @@ def _pattern_keys(pat: np.ndarray) -> np.ndarray:
 
 
 def _eval_at(net: Network, x1, x2, ts: np.ndarray):
-    """Outputs (points, outputs), the last hidden layer's 0/1 pattern
-    (width, points) and its keys at the parameters ``ts``.
+    """Outputs (points, outputs), the activations at ``pattern_stage``
+    (width, points) and the last hidden layer's pattern keys at the
+    parameters ``ts``, which come in increasing t.
 
-    One block through ``networks._forward`` with no trace, split before
-    the output stage, which reads the C-ordered last hidden layer as it
-    would in a traced ``evaluate_batch``: the same floats, without holding
-    every layer.
+    One block through ``networks._forward`` with no trace, in three parts.
+    Every parameter goes through the stages before the pattern stage.
+    Past it a column is a function of its step bits and of input-free
+    identity values, so only the head of each run of equal adjacent
+    columns (``networks._run_heads``) goes on, and its outputs and key
+    stand for its run.  When the pattern stage is the output stage the
+    hand-off is the last hidden layer, and every column goes on: there
+    the marking, the gather and the two expansions cost more than the
+    one output product they save, on small networks and on the digit
+    extractors alike.  The output stage reads a C-ordered last hidden
+    layer as it would in a traced ``evaluate_batch``: the same floats,
+    without holding every layer.
     """
     cols = _checked_points(net, (1 - ts)[:, None] * x1[None, :] + ts[:, None] * x2[None, :]).T
-    L = net.arch.depth
-    pat = _forward(net, cols, cols, 0, L)
-    return _forward(net, pat, None, L, L + 1).T, pat, _pattern_keys(pat)
+    first, L = pattern_stage(net), net.arch.depth
+    hand = _forward(net, cols, cols, 0, first)
+    if first == L:  # the hand-off is the last hidden layer
+        pat, run = hand, slice(None)
+    else:
+        mark = np.empty(len(ts), dtype=bool)
+        pat = _forward(net, _run_heads(hand, True, mark), None, first, L)
+        run = mark.cumsum()
+        run -= 1  # per parameter, the index of its run's head
+    return _forward(net, pat, None, L, L + 1).T[run], hand, _pattern_keys(pat)[run]
 
 
 def _same_value(key: np.ndarray, out: np.ndarray, i, j):
@@ -273,51 +298,63 @@ def _segment(net: Network, x1, x2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exact_pieces(net: Network, x1, x2) -> SegmentPartition:
-    """Exact partition of the segment restriction t -> f((1-t) x1 + t x2)."""
+    """Exact partition of the segment restriction t -> f((1-t) x1 + t x2).
+
+    Propagation's hand-off is checked against direct evaluation at the
+    pattern stage, at every region's midpoint, on each step row and each
+    identity row the pattern stage weighs (``Network._pattern_rows``); it
+    raises ``AssertionError`` at the first midpoint that differs.  That is
+    at least as strict as comparing the last hidden layers: the stages
+    from the pattern stage on read only those rows, so equal rows give an
+    equal last hidden layer.  A hand-off made too early leaves an
+    input-dependent identity row that stage weighs at its t = 0 intercept,
+    which the check sees.
+    """
     x1, x2 = _segment(net, x1, x2)
-    cuts, bits = _propagate(net, x1, x2, np.array([0.0, 1.0]), _root_split)
-    # one evaluation covers the midpoints, the cut parameters, and the
-    # endpoints; sameness of two parameters is judged by _same_value on
-    # that call's outputs and pattern keys
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    P, C = len(mids), len(cuts) - 2
-    out, pat, key = _eval_at(net, x1, x2, np.concatenate([mids, cuts[1:-1], [0.0, 1.0]]))
-    if not np.array_equal(bits, pat[:, :P]):
-        bad = int(np.nonzero(np.any(bits != pat[:, :P], axis=0))[0][0])
+    cuts, hand = _propagate(net, x1, x2, np.array([0.0, 1.0]), _root_split)
+    # one evaluation, in increasing t, covers the endpoints, the cut
+    # parameters and the midpoints: column 2r + 1 is region r's midpoint,
+    # column 2k cut k (the endpoints are cuts 0 and P); sameness of two
+    # parameters is judged by _same_value on that call's outputs and
+    # pattern keys
+    P = len(cuts) - 1
+    ts = np.empty(2 * P + 1)
+    ts[0::2], ts[1::2] = cuts, 0.5 * (cuts[:-1] + cuts[1:])
+    out, direct, key = _eval_at(net, x1, x2, ts)
+    differ = (hand != direct[:, 1::2])[net._pattern_rows]
+    if differ.any():
+        bad = int(np.flatnonzero(differ.any(axis=0))[0])
         raise AssertionError(
-            f"piece propagation disagrees with direct evaluation at t={mids[bad]}")
+            f"piece propagation disagrees with direct evaluation at t={ts[2 * bad + 1]}")
 
     def same(i, j):
         return _same_value(key, out, i, j)
 
     # merge adjacent interiors that carry the same output; each cut is then
     # compared with the first column of the piece on either side (not the
-    # adjacent midpoint: sameness is not transitive), and each endpoint
-    # with its end piece, in one call
-    inner = cuts[1:-1]
+    # adjacent midpoint: sameness is not transitive), cut 0 and cut P (the
+    # endpoints) with their one side
     keep = np.empty(P, dtype=bool)
     keep[0] = True
-    keep[1:] = ~same(slice(0, P - 1), slice(1, P))
+    keep[1:] = ~same(slice(1, 2 * P - 2, 2), slice(3, 2 * P, 2))
     # per region, the column of its piece's first region
-    piece_col = np.flatnonzero(keep)[np.cumsum(keep) - 1]
-    cut_cols = np.arange(P, P + C)
-    sames = same(np.concatenate([cut_cols, cut_cols, [P + C, P + C + 1]]),
-                 np.concatenate([piece_col[1:], piece_col[:-1], piece_col[[0, -1]]]))
-    right, left = sames[:C], sames[C:2 * C]
+    piece_col = 2 * np.flatnonzero(keep)[np.cumsum(keep) - 1] + 1
+    right = same(slice(0, 2 * P - 1, 2), piece_col)  # cuts 0..P-1
+    left = same(slice(2, 2 * P + 1, 2), piece_col)  # cuts 1..P
     # a cut is a breakpoint where the piece changes, or where it carries
     # its piece's value on neither side: a single-point piece where
     # crossings with opposite inclusion sides meet
-    at = np.flatnonzero(keep[1:] | ~right)
-    bps = inner[at]
+    at = np.flatnonzero(keep[1:] | ~right[1:])
+    bps, joins_right, joins_left = cuts[1:-1][at], right[1:][at], left[:-1][at]
     # +1: the breakpoint takes the right piece's value, -1: the left's, 0: neither
-    flags = right[at].astype(int) - (left[at] & ~right[at])
+    flags = joins_right.astype(int) - (joins_left & ~joins_right)
     values = out[piece_col[np.concatenate([[0], at + 1])]]
-    point_values = {float(t): out[P + k] for t, k in zip(bps[flags == 0], at[flags == 0])}
+    point_values = {float(t): out[2 * k + 2] for t, k in zip(bps[flags == 0], at[flags == 0])}
 
     # endpoint values differing from the adjoining interior (a crossing at
     # exactly t=0 or 1) are single-point pieces without a breakpoint entry;
     # value_at checks point_values first
-    for t, col, joined in zip((0.0, 1.0), (P + C, P + C + 1), sames[2 * C:]):
+    for t, col, joined in zip((0.0, 1.0), (0, 2 * P), (right[0], left[-1])):
         if not joined:
             point_values[t] = out[col]
 

@@ -31,7 +31,8 @@ the last stage that reads the input: through the taps, or through an
 identity neuron whose value depends on it.  From there on a point's column
 is a function of its step bits and of identity values that do not depend
 on the input, so of each block only the first point of each run of equal
-adjacent columns goes on through the later stages.
+adjacent columns goes on through the later stages.  ``_run_heads`` marks
+those runs, for ``evaluate_batch`` and for the piece analyses alike.
 
 A ``Network`` is valid for its whole life.  Constructing one runs
 ``validate``, the one statement of the rules of each class, and raises
@@ -174,6 +175,29 @@ class Network:
             carried = last == i and step_rows(self.arch, i) is not None
         return last + 1
 
+    @cached_property
+    def _pattern_rows(self) -> np.ndarray:
+        # the rows of the pattern stage's input level that it weighs: every
+        # step row, and each identity row with a nonzero weight (none, by
+        # the rule above, unless the stage is set early)
+        first = self._pattern_stage
+        width = self.arch.augmented_widths()[first]
+        p = step_rows(self.arch, first - 1) or width
+        weighed = nonzero_row_mask(self.layers[first].W[:, p:].T)
+        return np.concatenate([np.arange(p), p + np.flatnonzero(weighed)])
+
+    @cached_property
+    def _tap_bands(self) -> dict:
+        # per stage with a dense one-column tap matrix: the rows from its
+        # first to its last nonzero row, which _forward adds on alone
+        bands = {}
+        for i, layer in enumerate(self.layers):
+            V = layer.V
+            if isinstance(V, np.ndarray) and V.shape[1] == 1:
+                rows = V[:, 0].nonzero()[0]
+                bands[i] = slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+        return bands
+
 
 # -- matrix payload helpers (dense ndarray or scipy.sparse) -----------------
 
@@ -184,16 +208,20 @@ def issparse(M) -> bool:
     return sparse is not None and sparse.issparse(M)
 
 
-def mat_nonzero_rows(M) -> int:
-    """Rows with at least one nonzero entry (explicit zeros do not count)."""
+def nonzero_row_mask(M) -> np.ndarray:
+    """Whether each row has a nonzero entry (explicit zeros do not count)."""
     if issparse(M):
         csr = M.tocsr()
-        counts = np.zeros(csr.shape[0], dtype=bool)
+        mask = np.zeros(csr.shape[0], dtype=bool)
         rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-        nz = rows[csr.data != 0]
-        counts[nz] = True
-        return int(counts.sum())
-    return int(np.any(np.asarray(M) != 0, axis=1).sum())
+        mask[rows[csr.data != 0]] = True
+        return mask
+    return np.any(np.asarray(M) != 0, axis=1)
+
+
+def mat_nonzero_rows(M) -> int:
+    """Rows with at least one nonzero entry (explicit zeros do not count)."""
+    return int(nonzero_row_mask(M).sum())
 
 
 def mat_all_finite(M) -> bool:
@@ -330,7 +358,17 @@ def _forward(net: Network, h: np.ndarray, x: np.ndarray, lo: int, hi: int,
             z = _product(W, h)
         V = layer.V
         if V is not None:
-            z += V * x if isinstance(V, np.ndarray) and V.shape[1] == 1 else V @ x
+            # a one-column tap matrix adds its products only on the band of
+            # rows from its first to its last nonzero row: a row outside
+            # would gain a signed zero, which a skip stage, pure step, only
+            # compares.  A view, so a small stage pays no gather.  V @ x
+            # keeps its whole product, since BLAS sums a row subset of a
+            # wider or sparse V in another order
+            band = net._tap_bands.get(i)
+            if band is None:
+                z += V @ x
+            else:
+                z[..., band, :] += V[band] * x
         b = np.asarray(b)[..., None]
         if i < L:
             # step(0) = 1, compared as z >= b in one pass: the rounded z - b
@@ -404,24 +442,32 @@ def evaluate_batch(net: Network, X, with_trace: bool = False):
         return _forward(net, cols, cols, 0, L + 1, trace=trace).T, trace
     ws = net.arch.augmented_widths()
     first = pattern_stage(net)
-    # each prefix block marks the columns whose pattern differs from the
-    # column before it (a NaN column before the first), and those run heads
-    # go on through the suffix
+    # each prefix block's run heads go on through the suffix; a block's
+    # first column opens a run unless it equals the column before it
     fresh = np.empty(n, dtype=bool)
-    last = np.full((ws[first], 1), np.nan)
+    last = np.nan
     outs, at = [], 0
     for part in _blocks(cols, ws[:first + 1]):
         h = _forward(net, part, part, 0, first)
-        mark = fresh[at:at + h.shape[1]]
+        heads = _run_heads(h, (h[:, :1] != last).any(), fresh[at:at + h.shape[1]])
         at += h.shape[1]
-        np.any(h[:, :1] != last, axis=0, out=mark[:1])
-        np.any(h[:, 1:] != h[:, :-1], axis=0, out=mark[1:])
         last = h[:, -1:].copy()
-        heads = np.compress(mark, h, axis=1)  # C-ordered, unlike h[:, mark]
         del h  # so two blocks are never alive at once
         outs += [_forward(net, block, None, first, L + 1) for block in _blocks(heads, ws[first:])]
     starts = np.flatnonzero(fresh)
     return np.repeat(np.concatenate(outs, axis=1).T, np.diff(starts, append=n), axis=0)
+
+
+def _run_heads(h: np.ndarray, opens: bool, mark: np.ndarray) -> np.ndarray:
+    """The heads of the runs of equal adjacent columns of ``h``, activations
+    at ``pattern_stage``: each column that differs from the one before it,
+    and the first column if it ``opens`` a run.  ``mark`` gets one flag per
+    column, set at each head; the heads are gathered C-ordered, as any
+    block is laid out (``h[:, mark]`` is Fortran-ordered, and BLAS sums
+    that in another order)."""
+    mark[:1] = opens
+    np.logical_or.reduce(h[:, 1:] != h[:, :-1], axis=0, out=mark[1:])
+    return h.compress(mark, axis=1)
 
 
 def pattern_stage(net: Network) -> int:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heavinet import InvalidInputError, NetworkKind, evaluate, evaluate_batch
+from heavinet import InvalidInputError, Network, NetworkKind, evaluate, evaluate_batch
 from heavinet.analysis import exact_pieces, piece_bound, pieces, sampled_pieces
 from heavinet.analysis.bounds import _layer_ceilings
 from heavinet.analysis.pieces import (
@@ -27,7 +27,7 @@ from heavinet.builders import (
     xor_network,
 )
 from heavinet.builders.dsl import NetBuilder
-from heavinet.networks import pattern_stage, step_rows
+from heavinet.networks import _forward, pattern_stage, step_rows
 from heavinet.targets import TARGETS
 from netgen import (
     APPROXIMATORS,
@@ -461,8 +461,8 @@ def test_propagation_checks_layer_ceiling():
 
 def _propagate_every_stage(net, x1, x2, bounds, split):
     """The split loop on every hidden stage, as ``_propagate`` ran it before
-    it handed the stages from ``pattern_stage`` on to ``_forward``: the
-    oracle for its cuts and bits."""
+    it stopped at ``pattern_stage``: the oracle for its cuts, and for the
+    last hidden bits that ``_forward`` makes of its hand-off."""
     arch = net.arch
     dx = x2 - x1
     H, Hs = x1[:, None], dx[:, None]
@@ -488,8 +488,9 @@ def _propagate_every_stage(net, x1, x2, bounds, split):
 
 
 def _assert_hand_off_matches_every_stage(monkeypatch, net, x1, x2, N=1000):
-    # both analyses: each _propagate call must give the oracle's cuts and
-    # bits byte for byte, and split only before the pattern stage
+    # both analyses: each _propagate call must give the oracle's cuts byte
+    # for byte, split only before the pattern stage, and hand off columns
+    # that the later stages take to the oracle's bits byte for byte
     calls = []
 
     def checked(net, x1, x2, bounds, split):
@@ -503,7 +504,8 @@ def _assert_hand_off_matches_every_stage(monkeypatch, net, x1, x2, N=1000):
         assert len(splits) == pattern_stage(net)
         want = _propagate_every_stage(net, x1, x2, bounds, split)
         assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
-        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+        bits = _forward(net, got[1], None, pattern_stage(net), net.arch.depth)
+        assert bits.dtype == want[1].dtype and bits.tobytes() == want[1].tobytes()
         calls.append(len(got[0]))
         return got
 
@@ -533,6 +535,75 @@ def test_hand_off_matches_every_stage_on_the_holder_networks(monkeypatch, name):
 def test_hand_off_matches_every_stage_on_the_extractors(monkeypatch):
     for net, _ in extractors().values():
         _assert_hand_off_matches_every_stage(monkeypatch, net, np.zeros(1), np.ones(1))
+
+
+PLANTED = ["holder(x3mx,lin,1,0,1)", "holder(x2,lin,1,1,1)"]
+
+
+@pytest.mark.parametrize("early", [1, 2, 3])
+@pytest.mark.parametrize("name", PLANTED)
+def test_planted_early_pattern_stage_is_caught(name, early):
+    # a hand-off before the last stage that reads the input leaves the
+    # identity rows that stage weighs at their t = 0 intercepts, which the
+    # check must see (a skip network is left out: a tap stage past the
+    # hand-off would get no input)
+    net = approximator(name)[0]
+    planted = Network(net.arch, net.layers)
+    planted.__dict__["_pattern_stage"] = pattern_stage(net) - early
+    with pytest.raises(AssertionError, match="piece propagation disagrees"):
+        exact_pieces(planted, [0.05], [0.95])
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_planted_dropped_cut_is_caught(monkeypatch, name):
+    # one interior cut dropped at the first stage that makes any: the
+    # merged region carries one side's state into the other side
+    net = approximator(name)[0]
+    dropped = []
+
+    def split(A, S, cuts):
+        new, ts = _root_split(A, S, cuts)
+        if not dropped and len(new) > 2:
+            dropped.append(new[len(new) // 2])
+            new = np.delete(new, len(new) // 2)
+            ts = 0.5 * (new[:-1] + new[1:])
+        return new, ts
+
+    monkeypatch.setattr(pieces, "_root_split", split)
+    with pytest.raises(AssertionError, match="piece propagation disagrees"):
+        exact_pieces(net, [0.05], [0.95])
+    assert dropped
+
+
+def test_only_run_heads_pass_the_pattern_stage(monkeypatch):
+    # exact_pieces sends at most regions + 2 columns through the stages
+    # from the pattern stage on (one per run of equal hand-off columns),
+    # and neither analysis runs them inside _propagate
+    net = approximator("holder(x3mx,lin,1,0,1)")[0]
+    first = pattern_stage(net)
+    forward, propagate = pieces._forward, pieces._propagate
+    passed, inside, regions = [], [], []
+
+    def spy(net, h, x, lo, hi, *args):
+        assert not inside
+        if lo <= first < hi:
+            passed.append(h.shape[-1])
+        return forward(net, h, x, lo, hi, *args)
+
+    def flagged(*args):
+        inside.append(True)
+        try:
+            cuts, hand = propagate(*args)
+        finally:
+            inside.pop()
+        regions.append(len(cuts) - 1)
+        return cuts, hand
+
+    monkeypatch.setattr(pieces, "_forward", spy)
+    monkeypatch.setattr(pieces, "_propagate", flagged)
+    assert exact_pieces(net, [0.05], [0.95]).piece_count == 462
+    assert regions == [462] and 0 < sum(passed) <= regions[0] + 2
+    assert sampled_pieces(net, [0.05], [0.95], 10**4) == 462
 
 
 def test_run_compression_equals_dense_grid():
@@ -650,7 +721,7 @@ def test_value_at_is_the_evaluation_beside_every_cut(name):
 
 def test_vector_valued_outputs():
     # partitions work for multi-output networks; values compare row-wise
-    from heavinet import Architecture, LayerParams, Network
+    from heavinet import Architecture, LayerParams
 
     rng = np.random.default_rng(63)
     arch = Architecture(NetworkKind.PLAIN, (2, 4, 3, 2))
