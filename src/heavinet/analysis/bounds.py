@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -40,10 +41,16 @@ def _ceiling_factors(arch: Architecture) -> list[int]:
     return [hidden[0] + 1, *(s + 1 for s in taps)]
 
 
+def _running_ceilings(arch: Architecture) -> Iterator[int]:
+    """Most regions a segment restriction can have after each hidden layer,
+    in layer order: the running products of ``_ceiling_factors``, each
+    formed when it is read, so a reader that stops early forms no more."""
+    return accumulate(_ceiling_factors(arch), operator.mul)
+
+
 def _layer_ceilings(arch: Architecture) -> list[int]:
-    """Most regions a segment restriction can have after each hidden layer:
-    the running products of ``_ceiling_factors``."""
-    return list(accumulate(_ceiling_factors(arch), operator.mul))
+    """Every ceiling of ``_running_ceilings``, as a list."""
+    return list(_running_ceilings(arch))
 
 
 def piece_bound(arch: Architecture) -> int:

@@ -77,7 +77,7 @@ from ..networks import (
     pattern_stage,
     step_rows,
 )
-from .bounds import _layer_ceilings
+from .bounds import _running_ceilings
 
 __all__ = ["SegmentPartition", "exact_pieces", "sampled_pieces"]
 
@@ -151,7 +151,8 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
     the intercepts and slopes of a stage's step pre-activations and returns
     refined boundaries plus one parameter t per new region, where its
     parent's state is read.  After each stage the region count may not
-    exceed the paper's layer-wise ceiling, ``bounds._layer_ceilings``.
+    exceed the paper's layer-wise ceiling, ``bounds._running_ceilings``,
+    formed only as far as the loop goes.
 
     The split loop runs on the stages before ``pattern_stage(net)`` only,
     and returns the intercepts ``H`` it reaches there.  The stages from
@@ -166,9 +167,7 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
     arch = net.arch
     dx = x2 - x1
     H, Hs = x1[:, None], dx[:, None]
-    ceilings = _layer_ceilings(arch)
-    first = pattern_stage(net)
-    for i in range(first):
+    for i, ceiling in zip(range(pattern_stage(net)), _running_ceilings(arch)):
         layer = net.layers[i]
         A = np.asarray(layer.W @ H) - np.asarray(layer.b)[:, None]
         # the slope product runs over the slope-carrying columns alone
@@ -183,9 +182,9 @@ def _propagate(net: Network, x1: np.ndarray, x2: np.ndarray, bounds: np.ndarray,
         H, Hs = A[:, parent], S[p:, parent]
         H[:p] = H[:p] + S[:p, parent] * ts >= 0.0
         bounds = new
-        if len(bounds) - 1 > ceilings[i]:
+        if len(bounds) - 1 > ceiling:
             raise AssertionError(
-                f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceilings[i]}")
+                f"{len(bounds) - 1} regions after layer {i + 1} exceed its ceiling {ceiling}")
     return bounds, H
 
 

@@ -1,4 +1,8 @@
-"""Sup-norm error measurement on deterministic grids."""
+"""Sup-norm error measurement on deterministic grids.
+
+``axis_grid`` is the one maker of the N-interval grid: every axis holds the
+points k/N, k = 0..N, plus any declared breakpoints.  A grid of more than
+``TOTAL_POINT_CAP`` points is refused before any axis is made."""
 
 from __future__ import annotations
 
@@ -34,15 +38,21 @@ def check_grid_size(total: int) -> None:
 
 
 def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]:
-    """Per-axis coordinates: a uniform grid of ``per_axis`` intervals on
-    [0, 1] (endpoints included) plus any declared breakpoints, deduplicated
-    and sorted; a breakpoint must be finite and in [0, 1]."""
+    """Per-axis coordinates: the points k/N, k = 0..N, of ``per_axis`` = N
+    intervals on [0, 1], plus any declared breakpoints, deduplicated and
+    sorted; a breakpoint must be finite and in [0, 1].  A declared
+    breakpoint k/S that is also a grid point is that point.
+
+    More than ``TOTAL_POINT_CAP`` points, (N + 1)^d, are refused before any
+    axis is made; the exact count is checked again once the breakpoints
+    are merged."""
     if per_axis is None:
-        # past 21 axes even two points per axis exceed the cap, which refuses them
+        # past 21 axes even two points per axis exceed the cap
         per_axis = max(1, min(DEFAULT_AXIS_POINTS, int(TOTAL_POINT_CAP ** (1.0 / d)) - 1))
     if per_axis < 1:
         raise InvalidInputError(f"a grid needs at least one interval per axis, got {per_axis}")
-    base = np.linspace(0.0, 1.0, per_axis + 1)
+    check_grid_size((per_axis + 1) ** d)
+    base = np.arange(per_axis + 1) / per_axis
     extra = np.asarray(list(extra), dtype=float)
     if extra.size:
         if not np.all(np.isfinite(extra)):
@@ -50,6 +60,7 @@ def axis_grid(d: int, per_axis: int | None = None, extra=()) -> list[np.ndarray]
         if np.any((extra < 0) | (extra > 1)):
             raise InvalidInputError("extra grid points must lie in [0, 1]")
         base = np.unique(np.concatenate([base, extra]))
+        check_grid_size(len(base) ** d)
     return [base.copy() for _ in range(d)]
 
 
@@ -69,8 +80,8 @@ def grid_rows(axes: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
 def grid_blocks(axes: list[np.ndarray]):
     """Yield the tensor grid over ``axes``, last axis fastest, as
     ``grid_rows`` blocks of ``GRID_CHUNK`` points: the walk that
-    ``sup_error`` and the CLI's ``eval --grid`` share.  The caller checks
-    the grid's size."""
+    ``sup_error`` and the CLI's ``eval --grid`` share.  The axes come from
+    ``axis_grid``, which has checked the grid's size."""
     total = math.prod(len(a) for a in axes)
     for lo in range(0, total, GRID_CHUNK):
         yield grid_rows(axes, lo, min(lo + GRID_CHUNK, total))
@@ -80,14 +91,15 @@ def sup_error(net: Network, f0, per_axis: int | None = None, extra=()) -> SupErr
     """Max |net - f0| over a tensor grid of the unit cube.
 
     ``f0`` maps an (n, d) array of points to n values.  The grid is
-    ``axis_grid(d, per_axis, extra)``: ``extra`` inserts declared
-    breakpoints into every axis.  Ties in the maximum resolve to the lowest
-    grid index; the grid is enumerated last-axis-fastest.  A target that is
-    not finite at a grid point is refused, naming the first such point.
+    ``axis_grid(d, per_axis, extra)``: the points k/N on every axis, with
+    the declared breakpoints ``extra`` inserted; a grid of more than
+    ``TOTAL_POINT_CAP`` points is refused before any axis is made.  Ties in
+    the maximum resolve to the lowest grid index; the grid is enumerated
+    last-axis-fastest.  A target that is not finite at a grid point is
+    refused, naming the first such point.
     """
     axes = axis_grid(net.arch.input_dim, per_axis, extra)
     total = len(axes[0]) ** len(axes)
-    check_grid_size(total)
 
     best_val = -1.0
     best_pt = None

@@ -183,9 +183,7 @@ def _cmd_eval(args) -> int:
         n = args.grid
         if n < 1:
             raise InvalidInputError("--grid needs at least one interval")
-        check_grid_size((n + 1) ** d)  # before the axes are made
-        grid = grid_blocks([np.arange(n + 1) / n for _ in range(d)])
-        blocks = ((X, evaluate_batch(net, X)) for X in grid)
+        blocks = ((X, evaluate_batch(net, X)) for X in grid_blocks(axis_grid(d, n)))
     header = ",".join([f"x{i + 1}" for i in range(d)]
                       + [f"y{i + 1}" for i in range(net.arch.output_dim)])
     # the table goes out one block at a time, never whole in memory
@@ -222,10 +220,10 @@ def _square_cases(args):
         # join the grid when S <= 100 000 (17 factors of at least 2 exceed
         # that), and the grid is checked before the build
         S = (s + 1) ** min(L - 1, 17)
-        extra = [k / S for k in range(S + 1)] if S <= 100_000 else []
+        extra = axis_grid(1, S)[0] if S <= 100_000 else ()
         # merging the edges into the axis can only shrink it
         if args.grid + 1 + len(extra) > TOTAL_POINT_CAP:
-            check_grid_size(len(axis_grid(1, args.grid, extra)[0]))
+            axis_grid(1, args.grid, extra)
         yield (L, s), builders.square_approximator(L, s, skips), TARGETS["x2"].value, extra
 
 

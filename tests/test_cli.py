@@ -516,6 +516,16 @@ def test_eval_grid_cap(tmp_path, capsys):
     assert run(["eval", str(net), "--grid", "4000"]) == 2  # 4001^3 over the cap
 
 
+def test_eval_grid_points_are_the_axis_grid(tmp_path, capsys):
+    from heavinet.analysis import axis_grid
+
+    net = tmp_path / "net.json"
+    _run(capsys, "build", "rect", "--a", "0.2", "--b", "0.7", "-o", str(net))
+    code, out = _run(capsys, "eval", str(net), "--grid", "7")
+    xs = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+    assert code == 0 and np.array(xs).tobytes() == axis_grid(1, 7)[0].tobytes()
+
+
 @pytest.mark.parametrize("chunk", [7, 250_000])
 def test_eval_grid_writes_the_whole_table_in_blocks(tmp_path, capsys, monkeypatch, chunk):
     # the table a grid evaluation writes block by block, to a file and to

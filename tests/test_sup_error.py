@@ -49,7 +49,8 @@ def test_default_grid_respects_budget():
     total = len(axes[0]) ** 3
     assert total <= 4_000_000
     assert len(axes[0]) >= 100
-    assert len(axis_grid(22)[0]) == 2  # one interval, which the cap then refuses
+    with pytest.raises(ResourceLimitError):  # one interval per axis, 2^22 points
+        axis_grid(22)
     with pytest.raises(InvalidInputError):
         axis_grid(1, extra=[1.5])
 
@@ -78,6 +79,35 @@ def test_grid_over_the_cap_is_a_resource_limit():
         check_grid_size(4_000_001)
     with pytest.raises(ResourceLimitError, match="grid of 4004001 points"):
         sup_error(xor_network().net, lambda X: np.zeros(len(X)), per_axis=2000)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 10, 2_000, 100_000])
+def test_axis_points_are_k_over_n(n):
+    # the one N-interval grid: the float k/N itself, which linspace misses
+    # at 3 of the 11 points of N = 10
+    assert axis_grid(1, n)[0].tobytes() == (np.arange(n + 1) / n).tobytes()
+
+
+@pytest.mark.parametrize("S", [4, 16, 64])
+def test_declared_edges_on_the_grid_are_the_grid_points(S):
+    # an edge k/S that is also a grid point is that float, not a second
+    # point one ulp away from it
+    axis = axis_grid(1, 100_000, np.arange(S + 1) / S)[0]
+    assert np.diff(axis).min() >= 1e-15
+
+
+def test_grid_over_the_cap_is_refused_before_an_axis_is_made():
+    import tracemalloc
+
+    net = square_approximator(3, 1, (1, 0)).net
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="grid of 5000001 points exceeds the 4000000 cap"):
+            sup_error(net, lambda X: X[:, 0] ** 2, per_axis=5_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # one 5 000 001-point axis is 40 MB
 
 
 def test_grid_rows_are_slices_of_the_last_axis_fastest_grid():
